@@ -45,69 +45,29 @@
 //!   threads=8 throughput to beat threads=1 per kernel — skipped with a
 //!   notice when the rows were measured on a single-core host.
 
-use flexcl_bench::{compile, sweep_kernel, write_csv, SYNTHESIS_HOURS_PER_DESIGN};
+use flexcl_bench::record::{self, Field};
+use flexcl_bench::{
+    compile, flag_value, host_cores, sweep_kernel, vadd, write_csv, SYNTHESIS_HOURS_PER_DESIGN,
+};
 use flexcl_core::{
     explore_space, DseOptions, KernelAnalysis, Platform, SweepGrid, Workload,
 };
-use flexcl_interp::KernelArg;
 use flexcl_kernels::{polybench, Scale};
+use flexcl_serve::json::Json;
 use std::time::Instant;
 
-/// One BENCH_dse.json entry: a full model-only sweep of one kernel at one
-/// thread count (median of `reps` runs), with phase timings, scheduler
-/// counters and cache effectiveness.
-struct BenchRow {
-    kernel: String,
-    points: usize,
-    threads: usize,
-    grid: String,
-    reps: usize,
-    chunk_size: usize,
-    chunks: usize,
-    steals: u64,
-    repaired_chunks: usize,
-    host_cores: usize,
-    elapsed_ms: f64,
-    configs_per_sec: f64,
-    analysis_ms: f64,
-    estimate_ms: f64,
-    sched_ms: f64,
-    analysis_cache_hit_rate: f64,
-    sched_cache_hit_rate: f64,
-}
-
-/// CPU cores of the measuring host — the scaling gate only demands a
-/// parallel speedup when the hardware can physically provide one.
-fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// The vadd fixture used by the unit tests (3 × 4096 floats, 1-D range).
-fn vadd() -> (flexcl_ir::Function, Workload) {
-    let p = flexcl_frontend::parse_and_check(
-        "__kernel void vadd(__global float* a, __global float* b, __global float* c) {
-            int i = get_global_id(0);
-            c[i] = a[i] + b[i];
-        }",
-    )
-    .expect("vadd frontend");
-    let f = flexcl_ir::lower_kernel(&p.kernels[0]).expect("vadd lowering");
-    let w = Workload {
-        args: vec![
-            KernelArg::FloatBuf(vec![1.0; 4096]),
-            KernelArg::FloatBuf(vec![2.0; 4096]),
-            KernelArg::FloatBuf(vec![0.0; 4096]),
-        ],
-        global: (4096, 1),
-    };
-    (f, w)
-}
-
 /// Times model-only sweeps (no System Run) at 1, 2, 4 and 8 worker
-/// threads over vadd and a few PolyBench kernels. `filter` restricts the
-/// kernels to names containing the given substring; each row is the
-/// median of `reps` timed sweeps after one warm-up.
-fn bench_sweeps(filter: Option<&str>, grid_name: &str, reps: usize, verbose: bool) -> Vec<BenchRow> {
+/// threads over vadd and a few PolyBench kernels, printing a summary line
+/// per sweep and returning the BENCH_dse.json rows: a full sweep of one
+/// kernel at one thread count (median of `reps` runs after one warm-up),
+/// with phase timings, scheduler counters and cache effectiveness.
+/// `filter` restricts the kernels to names containing the given substring.
+fn bench_sweeps(
+    filter: Option<&str>,
+    grid_name: &str,
+    reps: usize,
+    verbose: bool,
+) -> Vec<Vec<Field>> {
     let platform = Platform::virtex7_adm7v3();
     let grid = SweepGrid::by_name(grid_name)
         .unwrap_or_else(|| panic!("unknown grid {grid_name:?} (standard|fine|ultra)"));
@@ -127,6 +87,7 @@ fn bench_sweeps(filter: Option<&str>, grid_name: &str, reps: usize, verbose: boo
         targets.retain(|(name, _, _)| name.contains(sub));
     }
 
+    println!("\nSweep throughput (model only):");
     let mut rows = Vec::new();
     for (name, func, workload) in &targets {
         // Warm the process-wide caches once so every repetition measures
@@ -158,220 +119,98 @@ fn bench_sweeps(filter: Option<&str>, grid_name: &str, reps: usize, verbose: boo
                     res.diagnostics.failed[0].message
                 );
             }
-            rows.push(BenchRow {
-                kernel: name.clone(),
-                points: res.points.len(),
+            let points = res.points.len();
+            let configs_per_sec = points as f64 / secs.max(1e-9);
+            let ms = |nanos: u64| Field::Num(nanos as f64 / 1e6, 3);
+            println!(
+                "  {:<26} {:>4} points  threads={}  {:>8.2} ms  {:>9.0} configs/s  \
+                 sched-hits={:>5.1}%",
+                name,
+                points,
                 threads,
-                grid: grid_name.to_string(),
-                reps,
-                chunk_size: res.stats.chunk_size,
-                chunks: res.stats.chunks_processed,
-                steals: res.stats.steals,
-                repaired_chunks: res.stats.repaired_chunks,
-                host_cores: cores,
-                elapsed_ms: secs * 1e3,
-                configs_per_sec: res.points.len() as f64 / secs.max(1e-9),
-                analysis_ms: res.stats.analysis_nanos as f64 / 1e6,
-                estimate_ms: res.stats.estimate_nanos as f64 / 1e6,
-                sched_ms: res.stats.sched_nanos as f64 / 1e6,
-                analysis_cache_hit_rate: res.stats.analysis_cache_hit_rate(),
-                sched_cache_hit_rate: res.stats.sched_cache_hit_rate(),
-            });
+                secs * 1e3,
+                configs_per_sec,
+                res.stats.sched_cache_hit_rate() * 100.0,
+            );
+            rows.push(vec![
+                name.as_str().into(),
+                points.into(),
+                threads.into(),
+                grid_name.into(),
+                reps.into(),
+                res.stats.chunk_size.into(),
+                res.stats.chunks_processed.into(),
+                res.stats.steals.into(),
+                res.stats.repaired_chunks.into(),
+                cores.into(),
+                Field::Num(secs * 1e3, 3),
+                Field::Num(configs_per_sec, 1),
+                ms(res.stats.analysis_nanos),
+                ms(res.stats.estimate_nanos),
+                ms(res.stats.sched_nanos),
+                Field::Num(res.stats.analysis_cache_hit_rate(), 3),
+                Field::Num(res.stats.sched_cache_hit_rate(), 3),
+            ]);
         }
     }
     rows
 }
 
-/// Every key a BENCH_dse.json row must carry, in emission order.
-const BENCH_KEYS: [&str; 17] = [
-    "kernel",
-    "points",
-    "threads",
-    "grid",
-    "reps",
-    "chunk_size",
-    "chunks",
-    "steals",
-    "repaired_chunks",
-    "host_cores",
-    "elapsed_ms",
-    "configs_per_sec",
-    "analysis_ms",
-    "estimate_ms",
-    "sched_ms",
-    "analysis_cache_hit_rate",
-    "sched_cache_hit_rate",
-];
-
-/// Writes the throughput rows to `out` (default: repo-root
-/// `BENCH_dse.json`).
-fn write_bench_json(rows: &[BenchRow], out: Option<&str>) {
-    let mut body = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        body.push_str(&format!(
-            "  {{\"kernel\": \"{}\", \"points\": {}, \"threads\": {}, \
-             \"grid\": \"{}\", \"reps\": {}, \"chunk_size\": {}, \"chunks\": {}, \
-             \"steals\": {}, \"repaired_chunks\": {}, \"host_cores\": {}, \
-             \"elapsed_ms\": {:.3}, \"configs_per_sec\": {:.1}, \
-             \"analysis_ms\": {:.3}, \"estimate_ms\": {:.3}, \"sched_ms\": {:.3}, \
-             \"analysis_cache_hit_rate\": {:.3}, \"sched_cache_hit_rate\": {:.3}}}{}\n",
-            r.kernel,
-            r.points,
-            r.threads,
-            r.grid,
-            r.reps,
-            r.chunk_size,
-            r.chunks,
-            r.steals,
-            r.repaired_chunks,
-            r.host_cores,
-            r.elapsed_ms,
-            r.configs_per_sec,
-            r.analysis_ms,
-            r.estimate_ms,
-            r.sched_ms,
-            r.analysis_cache_hit_rate,
-            r.sched_cache_hit_rate,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    body.push_str("]\n");
-    let path = match out {
-        Some(p) => std::path::PathBuf::from(p),
-        None => std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_dse.json"),
-    };
-    std::fs::write(&path, body).expect("write BENCH_dse.json");
-    println!("\nSweep throughput (model only):");
-    for r in rows {
-        println!(
-            "  {:<26} {:>4} points  threads={}  {:>8.2} ms  {:>9.0} configs/s  \
-             sched-hits={:>5.1}%",
-            r.kernel,
-            r.points,
-            r.threads,
-            r.elapsed_ms,
-            r.configs_per_sec,
-            r.sched_cache_hit_rate * 100.0,
-        );
-    }
-    println!("wrote {}", path.display());
-}
-
-/// Numeric value of `key` in a one-line JSON object, if present.
-fn num_field(obj: &str, key: &str) -> Option<f64> {
-    obj.split(&format!("\"{key}\":"))
-        .nth(1)?
-        .trim_start()
-        .split(|c: char| c == ',' || c == '}')
-        .next()?
-        .trim()
-        .parse::<f64>()
-        .ok()
-}
-
-/// String value of `key` in a one-line JSON object, if present.
-fn str_field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    obj.split(&format!("\"{key}\":")).nth(1)?.trim_start().strip_prefix('"')?.split('"').next()
-}
-
-/// Validates a BENCH_dse.json produced by [`write_bench_json`]: at least
-/// one row, every schema key in every row, and a finite positive
-/// `configs_per_sec`. With `require_scaling`, additionally demands that
-/// per kernel the threads=8 throughput beats threads=1 — skipped with a
-/// notice when the rows report a single-core measuring host, where a
-/// parallel speedup is physically impossible. Exits non-zero with a
-/// message on the first problem.
-fn check_bench_json(path: &str, require_scaling: bool) {
-    let body = match std::fs::read_to_string(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("BENCH check: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let fail = |msg: String| -> ! {
-        eprintln!("BENCH check: {path}: {msg}");
-        std::process::exit(1);
-    };
-    // The emitter writes one object per line; validate each line that
-    // holds an object.
-    let objects: Vec<&str> =
-        body.lines().filter(|l| l.trim_start().starts_with('{')).collect();
-    if objects.is_empty() {
-        fail("no benchmark rows".to_string());
-    }
-    for (i, obj) in objects.iter().enumerate() {
-        for key in BENCH_KEYS {
-            if !obj.contains(&format!("\"{key}\":")) {
-                fail(format!("row {i} is missing key \"{key}\""));
-            }
-        }
-        let cps = num_field(obj, "configs_per_sec")
-            .unwrap_or_else(|| fail(format!("row {i}: configs_per_sec is not a number")));
+/// The `--check` gates over BENCH_dse.json rows: a finite positive
+/// `configs_per_sec` on every row and, with `require_scaling`, per kernel
+/// the threads=8 throughput beating threads=1 — skipped with a notice
+/// when the rows report a single-core measuring host, where a parallel
+/// speedup is physically impossible.
+fn gate(rows: &[Json], require_scaling: bool) -> Result<(), String> {
+    for (i, row) in rows.iter().enumerate() {
+        let cps = record::num(row, "configs_per_sec")
+            .ok_or(format!("row {i}: configs_per_sec is not a number"))?;
         if !cps.is_finite() || cps <= 0.0 {
-            fail(format!("row {i}: configs_per_sec = {cps} (must be finite and positive)"));
+            return Err(format!("row {i}: configs_per_sec = {cps} (must be finite and positive)"));
         }
     }
-    if require_scaling {
-        // kernel → (threads=1 cps, threads=8 cps, host_cores).
-        let mut per_kernel: Vec<(String, Option<f64>, Option<f64>, usize)> = Vec::new();
-        for obj in &objects {
-            let kernel = str_field(obj, "kernel").unwrap_or("?").to_string();
-            let threads = num_field(obj, "threads").unwrap_or(0.0) as usize;
-            let cps = num_field(obj, "configs_per_sec");
-            let cores = num_field(obj, "host_cores").unwrap_or(1.0) as usize;
-            let entry = match per_kernel.iter_mut().find(|(k, ..)| *k == kernel) {
-                Some(e) => e,
-                None => {
-                    per_kernel.push((kernel, None, None, cores));
-                    per_kernel.last_mut().expect("just pushed")
-                }
-            };
-            match threads {
-                1 => entry.1 = cps,
-                8 => entry.2 = cps,
-                _ => {}
-            }
-        }
-        for (kernel, t1, t8, cores) in &per_kernel {
-            let (Some(t1), Some(t8)) = (t1, t8) else {
-                fail(format!("{kernel}: need threads=1 and threads=8 rows for the scaling gate"));
-            };
-            if *cores < 2 {
-                println!(
-                    "BENCH check: {kernel}: scaling gate skipped \
-                     (rows measured on a {cores}-core host; t1={t1:.0}, t8={t8:.0} configs/s)"
-                );
-            } else if t8 <= t1 {
-                fail(format!(
-                    "{kernel}: threads=8 ({t8:.0} configs/s) does not beat \
-                     threads=1 ({t1:.0} configs/s) on a {cores}-core host"
-                ));
-            } else {
-                println!(
-                    "BENCH check: {kernel}: scaling ok ({:.2}x at 8 threads)",
-                    t8 / t1
-                );
-            }
+    if !require_scaling {
+        return Ok(());
+    }
+    let kernel_of = |row| record::text(row, "kernel").unwrap_or("?");
+    let mut kernels: Vec<&str> = Vec::new();
+    for k in rows.iter().map(kernel_of) {
+        if !kernels.contains(&k) {
+            kernels.push(k);
         }
     }
-    println!("BENCH check: {path}: {} rows ok", objects.len());
-}
-
-/// Value of a `--flag VALUE` pair in `args`, if present.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+    for kernel in kernels {
+        let mine = || rows.iter().filter(|&r| kernel_of(r) == kernel);
+        let cps_at = |t| {
+            let at = mine().rev().find(|&r| record::num(r, "threads") == Some(t));
+            at.and_then(|r| record::num(r, "configs_per_sec"))
+        };
+        let cores = mine().find_map(|r| record::num(r, "host_cores")).unwrap_or(1.0) as usize;
+        let (Some(t1), Some(t8)) = (cps_at(1.0), cps_at(8.0)) else {
+            return Err(format!("{kernel}: need threads=1 and threads=8 rows for the scaling gate"));
+        };
+        if cores < 2 {
+            println!(
+                "BENCH check: {kernel}: scaling gate skipped \
+                 (rows measured on a {cores}-core host; t1={t1:.0}, t8={t8:.0} configs/s)"
+            );
+        } else if t8 <= t1 {
+            return Err(format!(
+                "{kernel}: threads=8 ({t8:.0} configs/s) does not beat \
+                 threads=1 ({t1:.0} configs/s) on a {cores}-core host"
+            ));
+        } else {
+            println!("BENCH check: {kernel}: scaling ok ({:.2}x at 8 threads)", t8 / t1);
+        }
+    }
+    Ok(())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(path) = flag_value(&args, "--check") {
-        check_bench_json(path, args.iter().any(|a| a == "--require-scaling"));
+        let require_scaling = args.iter().any(|a| a == "--require-scaling");
+        record::DSE.check_or_exit(path, |rows| gate(rows, require_scaling));
         return;
     }
     let kernels = flag_value(&args, "--kernels");
@@ -392,7 +231,7 @@ fn main() {
         None => false,
     };
     if args.iter().any(|a| a == "--bench-only") {
-        write_bench_json(&bench_sweeps(kernels, grid, reps, verbose), out);
+        record::DSE.write(&bench_sweeps(kernels, grid, reps, verbose), out);
         if traced {
             flexcl_obs::trace::shutdown();
         }
@@ -537,8 +376,19 @@ fn main() {
          synthesis_seconds_extrapolated,exploration_speedup,stepwise_optimal",
         &rows,
     );
-    write_bench_json(&bench_sweeps(kernels, grid, reps, verbose), out);
+    record::DSE.write(&bench_sweeps(kernels, grid, reps, verbose), out);
     if traced {
         flexcl_obs::trace::shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_bench_file_passes_the_tier1_check() {
+        let dse = record::DSE;
+        dse.check(&dse.committed(), |rows| gate(rows, true)).unwrap_or_else(|e| panic!("{e}"));
     }
 }

@@ -48,7 +48,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let traced = install_tracer(args)?;
     let result = match cmd.as_str() {
         "estimate" => cmd_estimate(&args[1..]),
-        "explore" => cmd_explore(&args[1..]),
+        "explore" => cmd_sweep(&args[1..]),
         "ir" => cmd_ir(&args[1..]),
         "patterns" => cmd_patterns(&args[1..]),
         "help" | "--help" | "-h" => {
@@ -288,7 +288,7 @@ fn cmd_estimate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_explore(args: &[String]) -> Result<(), String> {
+fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args);
     let platform = platform_for(&flags)?;
     let loaded = load(&flags)?;
@@ -298,8 +298,14 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
         .map_or(Ok(10), |v| v.parse())
         .map_err(|_| "bad --top")?;
 
-    let result = flexcl_core::explore(&loaded.func, &platform, &loaded.workload)
-        .map_err(|e| format!("{e}\nhint: if out of bounds, raise --buf-elems"))?;
+    let result = flexcl_core::explore_space(
+        &loaded.func,
+        &platform,
+        &loaded.workload,
+        &flexcl_core::SweepGrid::standard(),
+        flexcl_core::DseOptions::default(),
+    )
+    .map_err(|e| format!("{e}\nhint: if out of bounds, raise --buf-elems"))?;
     println!(
         "explored {} configurations ({} feasible) in {:.2} s",
         result.points.len(),

@@ -29,12 +29,14 @@
 //! `sweep_trace.overhead_pct` (default ceiling 5%) and the derived
 //! `sweep_off.overhead_pct` (default ceiling 1%).
 
+use flexcl_bench::load::{fire, percentile, steady_config};
+use flexcl_bench::{flag_value, host_cores, vadd};
+use flexcl_bench::record::{self, Field};
 use flexcl_core::{explore_space, DseOptions, Platform, SweepGrid, Workload};
-use flexcl_interp::KernelArg;
-use flexcl_serve::server::ServerConfig;
+use flexcl_serve::json::Json;
 use flexcl_serve::Server;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -52,6 +54,7 @@ impl Write for CountingSink {
     }
 }
 
+#[derive(Default)]
 struct ObsRow {
     mode: &'static str,
     kernel: &'static str,
@@ -74,46 +77,9 @@ struct ObsRow {
 
 impl ObsRow {
     fn blank(mode: &'static str) -> ObsRow {
-        ObsRow {
-            mode,
-            kernel: "",
-            grid: "",
-            points: 0,
-            threads: 0,
-            reps: 0,
-            configs_per_sec: 0.0,
-            overhead_pct: 0.0,
-            span_ns: 0.0,
-            spans_emitted: 0,
-            trace_dropped: 0,
-            p50_ms: 0.0,
-            p99_ms: 0.0,
-            requests_per_sec: 0.0,
-            host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        }
+        ObsRow { mode, host_cores: host_cores(), ..ObsRow::default() }
     }
 }
-
-fn vadd() -> (flexcl_ir::Function, Workload) {
-    let p = flexcl_frontend::parse_and_check(
-        "__kernel void vadd(__global float* a, __global float* b, __global float* c) {
-            int i = get_global_id(0);
-            c[i] = a[i] + b[i];
-        }",
-    )
-    .expect("vadd frontend");
-    let f = flexcl_ir::lower_kernel(&p.kernels[0]).expect("vadd lowering");
-    let w = Workload {
-        args: vec![
-            KernelArg::FloatBuf(vec![1.0; 4096]),
-            KernelArg::FloatBuf(vec![2.0; 4096]),
-            KernelArg::FloatBuf(vec![0.0; 4096]),
-        ],
-        global: (4096, 1),
-    };
-    (f, w)
-}
-
 /// ns/op of the disabled-span fast path: open + drop with no tracer.
 fn bench_disabled_span() -> f64 {
     const ITERS: u64 = 20_000_000;
@@ -165,15 +131,7 @@ fn settled_line_count(lines: &AtomicU64) -> u64 {
 
 /// Steady cache-warm serve traffic with tracing on: (p50 ms, p99 ms, req/s).
 fn bench_serve(total: usize) -> (f64, f64, f64) {
-    let (server, _) = Server::start(ServerConfig {
-        workers: 2,
-        queue_cap: 256,
-        degrade_at: usize::MAX,
-        default_deadline_ms: 60_000,
-        ..ServerConfig::default()
-    })
-    .expect("start serve");
-    let server = Arc::new(server);
+    let (server, _) = Server::start(steady_config(2, None)).expect("start serve");
     let frames: Vec<String> = (0..4)
         .map(|i| {
             format!(
@@ -186,96 +144,17 @@ fn bench_serve(total: usize) -> (f64, f64, f64) {
         let resp = server.handle_frame(f);
         assert_eq!(resp.kind(), "ok", "warm-up failed: {}", resp.to_json());
     }
-    let frames = Arc::new(frames);
-    let next = Arc::new(AtomicUsize::new(0));
-    let clients = 4;
-    let start = Instant::now();
-    let handles: Vec<_> = (0..clients)
-        .map(|_| {
-            let server = Arc::clone(&server);
-            let frames = Arc::clone(&frames);
-            let next = Arc::clone(&next);
-            std::thread::spawn(move || {
-                let mut lat = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        return lat;
-                    }
-                    let t = Instant::now();
-                    let _ = server.handle_frame(&frames[i % frames.len()]);
-                    lat.push(t.elapsed().as_secs_f64() * 1000.0);
-                }
-            })
-        })
-        .collect();
-    let mut latencies: Vec<f64> = Vec::with_capacity(total);
-    for h in handles {
-        latencies.extend(h.join().expect("client thread"));
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    latencies.sort_by(f64::total_cmp);
-    let pct = |p: f64| latencies[((latencies.len() - 1) as f64 * p).round() as usize];
-    let rps = latencies.len() as f64 / elapsed.max(1e-9);
-    let out = (pct(0.50), pct(0.99), rps);
-    Arc::into_inner(server).expect("sole handle").shutdown();
+    let (lat, elapsed) = fire(&server, &frames, 4, total, false);
+    let out = (
+        percentile(&lat.all, 0.50),
+        percentile(&lat.all, 0.99),
+        lat.all.len() as f64 / elapsed.max(1e-9),
+    );
+    server.shutdown();
     out
 }
 
-/// Every key a BENCH_obs.json row must carry.
-const BENCH_KEYS: [&str; 15] = [
-    "mode",
-    "kernel",
-    "grid",
-    "points",
-    "threads",
-    "reps",
-    "configs_per_sec",
-    "overhead_pct",
-    "span_ns",
-    "spans_emitted",
-    "trace_dropped",
-    "p50_ms",
-    "p99_ms",
-    "requests_per_sec",
-    "host_cores",
-];
-
 fn write_bench_json(rows: &[ObsRow], out: Option<&str>) {
-    let mut body = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        body.push_str(&format!(
-            "  {{\"mode\": \"{}\", \"kernel\": \"{}\", \"grid\": \"{}\", \"points\": {}, \
-             \"threads\": {}, \"reps\": {}, \"configs_per_sec\": {:.1}, \
-             \"overhead_pct\": {:.3}, \"span_ns\": {:.2}, \"spans_emitted\": {}, \
-             \"trace_dropped\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-             \"requests_per_sec\": {:.1}, \"host_cores\": {}}}{}\n",
-            r.mode,
-            r.kernel,
-            r.grid,
-            r.points,
-            r.threads,
-            r.reps,
-            r.configs_per_sec,
-            r.overhead_pct,
-            r.span_ns,
-            r.spans_emitted,
-            r.trace_dropped,
-            r.p50_ms,
-            r.p99_ms,
-            r.requests_per_sec,
-            r.host_cores,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    body.push_str("]\n");
-    let path = match out {
-        Some(p) => std::path::PathBuf::from(p),
-        None => std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_obs.json"),
-    };
-    std::fs::write(&path, body).expect("write BENCH_obs.json");
     for r in rows {
         match r.mode {
             "span_disabled" => println!("  span_disabled  {:.2} ns/op", r.span_ns),
@@ -289,80 +168,69 @@ fn write_bench_json(rows: &[ObsRow], out: Option<&str>) {
             ),
         }
     }
-    println!("wrote {}", path.display());
+    let records: Vec<Vec<Field>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.mode.into(),
+                r.kernel.into(),
+                r.grid.into(),
+                r.points.into(),
+                r.threads.into(),
+                r.reps.into(),
+                Field::Num(r.configs_per_sec, 1),
+                Field::Num(r.overhead_pct, 3),
+                Field::Num(r.span_ns, 2),
+                r.spans_emitted.into(),
+                r.trace_dropped.into(),
+                Field::Num(r.p50_ms, 3),
+                Field::Num(r.p99_ms, 3),
+                Field::Num(r.requests_per_sec, 1),
+                r.host_cores.into(),
+            ]
+        })
+        .collect();
+    record::OBS.write(&records, out);
 }
 
-fn num_field(obj: &str, key: &str) -> Option<f64> {
-    obj.split(&format!("\"{key}\":"))
-        .nth(1)?
-        .trim_start()
-        .split([',', '}'])
-        .next()?
-        .trim()
-        .parse::<f64>()
-        .ok()
-}
-
-fn str_field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    obj.split(&format!("\"{key}\":")).nth(1)?.trim_start().strip_prefix('"')?.split('"').next()
-}
-
-/// Validates a BENCH_obs.json: schema keys on every row, the four modes
-/// present, traced-sweep overhead under `max_pct`, derived disabled-path
-/// overhead under `max_disabled_pct`, and a live serve row. Exits
-/// non-zero on the first problem.
-fn check_bench_json(path: &str, max_pct: f64, max_disabled_pct: f64) {
-    let body = match std::fs::read_to_string(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("BENCH check: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let fail = |msg: String| -> ! {
-        eprintln!("BENCH check: {path}: {msg}");
-        std::process::exit(1);
-    };
-    let objects: Vec<&str> = body.lines().filter(|l| l.trim_start().starts_with('{')).collect();
-    if objects.is_empty() {
-        fail("no benchmark rows".to_string());
-    }
+/// The `--check` gates over BENCH_obs.json rows: the four modes present,
+/// traced-sweep overhead under `max_pct`, derived disabled-path overhead
+/// under `max_disabled_pct`, and a live serve row.
+fn gate(rows: &[Json], max_pct: f64, max_disabled_pct: f64) -> Result<(), String> {
     let mut seen = Vec::new();
-    for (i, obj) in objects.iter().enumerate() {
-        for key in BENCH_KEYS {
-            if !obj.contains(&format!("\"{key}\":")) {
-                fail(format!("row {i} is missing key \"{key}\""));
-            }
-        }
-        let mode = str_field(obj, "mode").unwrap_or("?").to_string();
-        match mode.as_str() {
+    for row in rows {
+        let num = |key| record::num(row, key);
+        let mode = record::text(row, "mode").unwrap_or("?");
+        match mode {
             "sweep_off" => {
-                let pct = num_field(obj, "overhead_pct").unwrap_or(f64::NAN);
+                let pct = num("overhead_pct").unwrap_or(f64::NAN);
                 if !pct.is_finite() || pct > max_disabled_pct {
-                    fail(format!(
+                    return Err(format!(
                         "sweep_off: derived disabled-path overhead {pct:.3}% exceeds \
                          the {max_disabled_pct}% ceiling"
                     ));
                 }
             }
             "sweep_trace" => {
-                let pct = num_field(obj, "overhead_pct").unwrap_or(f64::NAN);
+                let pct = num("overhead_pct").unwrap_or(f64::NAN);
                 if !pct.is_finite() || pct > max_pct {
-                    fail(format!(
+                    return Err(format!(
                         "sweep_trace: traced-sweep overhead {pct:.2}% exceeds the \
                          {max_pct}% ceiling"
                     ));
                 }
-                let cps = num_field(obj, "configs_per_sec").unwrap_or(0.0);
+                let cps = num("configs_per_sec").unwrap_or(0.0);
                 if !cps.is_finite() || cps <= 0.0 {
-                    fail(format!("sweep_trace: configs_per_sec = {cps}"));
+                    return Err(format!("sweep_trace: configs_per_sec = {cps}"));
                 }
             }
             "serve_trace" => {
-                let p99 = num_field(obj, "p99_ms").unwrap_or(f64::NAN);
-                let rps = num_field(obj, "requests_per_sec").unwrap_or(0.0);
+                let p99 = num("p99_ms").unwrap_or(f64::NAN);
+                let rps = num("requests_per_sec").unwrap_or(0.0);
                 if !p99.is_finite() || p99 <= 0.0 || !rps.is_finite() || rps <= 0.0 {
-                    fail(format!("serve_trace: p99_ms = {p99}, requests_per_sec = {rps}"));
+                    return Err(format!(
+                        "serve_trace: p99_ms = {p99}, requests_per_sec = {rps}"
+                    ));
                 }
             }
             _ => {}
@@ -370,15 +238,11 @@ fn check_bench_json(path: &str, max_pct: f64, max_disabled_pct: f64) {
         seen.push(mode);
     }
     for required in ["span_disabled", "sweep_off", "sweep_trace", "serve_trace"] {
-        if !seen.iter().any(|m| m == required) {
-            fail(format!("missing the `{required}` row"));
+        if !seen.contains(&required) {
+            return Err(format!("missing the `{required}` row"));
         }
     }
-    println!("BENCH check: {path}: {} rows ok", objects.len());
-}
-
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
+    Ok(())
 }
 
 fn main() {
@@ -388,7 +252,7 @@ fn main() {
             .map_or(5.0, |v| v.parse().expect("bad --max-overhead-pct"));
         let max_disabled = flag_value(&args, "--max-disabled-pct")
             .map_or(1.0, |v| v.parse().expect("bad --max-disabled-pct"));
-        check_bench_json(path, max_pct, max_disabled);
+        record::OBS.check_or_exit(path, |rows| gate(rows, max_pct, max_disabled));
         return;
     }
     let parse = |flag: &str, default: usize| -> usize {
@@ -398,15 +262,14 @@ fn main() {
     // Oversubscribing a small host adds scheduler noise the paired
     // design cannot cancel, so default to what the host actually has.
     let threads =
-        parse("--threads", std::thread::available_parallelism().map_or(1, |n| n.get()).min(4));
+        parse("--threads", host_cores().min(4));
     let serve_requests = parse("--serve-requests", 2_000);
     let sample = parse("--trace-sample", 1).max(1) as u64;
 
     // 1. Disabled-path microbench — must run before the tracer is armed.
     println!("disabled-span microbench…");
     let span_ns = bench_disabled_span();
-    let mut r_span = ObsRow::blank("span_disabled");
-    r_span.span_ns = span_ns;
+    let r_span = ObsRow { span_ns, ..ObsRow::blank("span_disabled") };
 
     // 2 + 3. Paired off/on sweeps. An unpaired A-then-B comparison is
     // hopeless on small noisy hosts (run-to-run swing dwarfs the real
@@ -443,30 +306,23 @@ fn main() {
     // Let the drain catch up, then snapshot before the serve phase so
     // sweep span accounting is not polluted by request spans.
     let sweep_spans = settled_line_count(&lines);
-    let mut r_off = ObsRow::blank("sweep_off");
-    r_off.kernel = "vadd";
-    r_off.grid = "fine";
-    r_off.points = points;
-    r_off.threads = threads;
-    r_off.reps = reps;
-    r_off.configs_per_sec = cps_off;
-    let mut r_trace = ObsRow::blank("sweep_trace");
-    r_trace.kernel = "vadd";
-    r_trace.grid = "fine";
-    r_trace.points = points;
-    r_trace.threads = threads;
-    r_trace.reps = reps;
-    r_trace.configs_per_sec = cps_trace;
-    r_trace.overhead_pct = pair_overhead;
+    let sweep_row = |mode, configs_per_sec| ObsRow {
+        kernel: "vadd",
+        grid: "fine",
+        points,
+        threads,
+        reps,
+        configs_per_sec,
+        ..ObsRow::blank(mode)
+    };
+    let mut r_off = sweep_row("sweep_off", cps_off);
+    let mut r_trace = ObsRow { overhead_pct: pair_overhead, ..sweep_row("sweep_trace", cps_trace) };
 
     // 4. Serve latency with tracing on.
     flexcl_obs::trace::set_enabled(true);
     println!("serve steady phase with tracing on ({serve_requests} requests)…");
-    let (p50, p99, rps) = bench_serve(serve_requests);
-    let mut r_serve = ObsRow::blank("serve_trace");
-    r_serve.p50_ms = p50;
-    r_serve.p99_ms = p99;
-    r_serve.requests_per_sec = rps;
+    let (p50_ms, p99_ms, requests_per_sec) = bench_serve(serve_requests);
+    let r_serve = ObsRow { p50_ms, p99_ms, requests_per_sec, ..ObsRow::blank("serve_trace") };
 
     flexcl_obs::trace::shutdown();
     r_trace.spans_emitted = sweep_spans;
@@ -481,4 +337,15 @@ fn main() {
     r_off.span_ns = span_ns;
 
     write_bench_json(&[r_span, r_off, r_trace, r_serve], flag_value(&args, "--out"));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_bench_file_passes_the_tier1_check() {
+        let obs = record::OBS;
+        obs.check(&obs.committed(), |rows| gate(rows, 5.0, 1.0)).unwrap_or_else(|e| panic!("{e}"));
+    }
 }

@@ -33,11 +33,13 @@
 //! row, finite positive throughput, optional steady rps floor, and the
 //! nonzero overload / coalesce / warm-hit acceptance gates.
 
+use flexcl_bench::load::{drive, fire, percentile, steady_config, Latencies, Reply};
+use flexcl_bench::{flag_value, host_cores};
+use flexcl_bench::record::{self, Field};
+use flexcl_serve::json::Json;
 use flexcl_serve::server::ServerConfig;
 use flexcl_serve::{CounterSnapshot, Server};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// One kernel shape per distinct fingerprint in the steady working set.
 fn steady_kernel(i: usize) -> String {
@@ -53,113 +55,10 @@ fn request(id: &str, src: &str, global: u64, extra: &str) -> String {
     format!(r#"{{"id":"{id}","src":"{src_json}","global":{global}{extra}}}"#)
 }
 
+/// One measured phase: its summary line and its BENCH_serve.json row.
 struct PhaseRow {
-    phase: &'static str,
-    transport: &'static str,
-    workers: usize,
-    clients: usize,
-    queue_cap: usize,
-    requests: u64,
-    counters: CounterSnapshot,
-    backoff: bool,
-    p50_ms: f64,
-    p99_ms: f64,
-    completed_p50_ms: f64,
-    completed_p99_ms: f64,
-    shed_p50_ms: f64,
-    shed_p99_ms: f64,
-    requests_per_sec: f64,
-    elapsed_ms: f64,
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
-/// Client-observed latencies, split by outcome.
-#[derive(Default)]
-struct Latencies {
-    all: Vec<f64>,
-    completed: Vec<f64>,
-    shed: Vec<f64>,
-}
-
-impl Latencies {
-    fn absorb(&mut self, mut other: Latencies) {
-        self.all.append(&mut other.all);
-        self.completed.append(&mut other.completed);
-        self.shed.append(&mut other.shed);
-    }
-
-    fn sort(&mut self) {
-        self.all.sort_by(|a, b| a.total_cmp(b));
-        self.completed.sort_by(|a, b| a.total_cmp(b));
-        self.shed.sort_by(|a, b| a.total_cmp(b));
-    }
-}
-
-/// Back-off cap: the server's hint is an EWMA of full service time,
-/// which against fine-grid storms would idle clients for longer than
-/// the bench runs. Sleeping a bounded slice still yields the queue.
-const BACKOFF_CAP_MS: u64 = 5;
-
-fn record(lat: &mut Latencies, kind: &str, ms: f64, retry_hint: Option<u64>, backoff: bool) {
-    lat.all.push(ms);
-    match kind {
-        "ok" => lat.completed.push(ms),
-        "overloaded" => {
-            lat.shed.push(ms);
-            if backoff {
-                let hint = retry_hint.unwrap_or(1).clamp(1, BACKOFF_CAP_MS);
-                std::thread::sleep(Duration::from_millis(hint));
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Fires `total` requests from `clients` threads, each picking frames
-/// round-robin from `frames`, against the in-process service core.
-fn fire(
-    server: &Arc<Server>,
-    frames: &Arc<Vec<String>>,
-    clients: usize,
-    total: usize,
-    backoff: bool,
-) -> (Latencies, f64) {
-    let next = Arc::new(AtomicUsize::new(0));
-    let start = Instant::now();
-    let handles: Vec<_> = (0..clients)
-        .map(|_| {
-            let server = Arc::clone(server);
-            let frames = Arc::clone(frames);
-            let next = Arc::clone(&next);
-            std::thread::spawn(move || {
-                let mut lat = Latencies::default();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        return lat;
-                    }
-                    let t = Instant::now();
-                    let resp = server.handle_frame(&frames[i % frames.len()]);
-                    let ms = t.elapsed().as_secs_f64() * 1000.0;
-                    record(&mut lat, resp.kind(), ms, resp.retry_after_ms(), backoff);
-                }
-            })
-        })
-        .collect();
-    let mut latencies = Latencies::default();
-    for h in handles {
-        latencies.absorb(h.join().expect("client thread"));
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    latencies.sort();
-    (latencies, elapsed)
+    summary: String,
+    fields: Vec<Field>,
 }
 
 /// Fires `total` requests over real TCP connections to `addr`, one
@@ -167,44 +66,22 @@ fn fire(
 #[cfg(target_os = "linux")]
 fn fire_tcp(
     addr: std::net::SocketAddrV4,
-    frames: &Arc<Vec<String>>,
+    frames: &[String],
     clients: usize,
     total: usize,
 ) -> (Latencies, f64) {
     use flexcl_serve::protocol::{read_frame, write_frame};
-    let next = Arc::new(AtomicUsize::new(0));
-    let start = Instant::now();
-    let handles: Vec<_> = (0..clients)
-        .map(|_| {
-            let frames = Arc::clone(frames);
-            let next = Arc::clone(&next);
-            std::thread::spawn(move || {
-                let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-                stream.set_nodelay(true).expect("nodelay");
-                let mut lat = Latencies::default();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        return lat;
-                    }
-                    let t = Instant::now();
-                    write_frame(&mut stream, &frames[i % frames.len()]).expect("write");
-                    let reply = read_frame(&mut stream).expect("read").expect("frame");
-                    let ms = t.elapsed().as_secs_f64() * 1000.0;
-                    let kind =
-                        if reply.contains("\"status\":\"ok\"") { "ok" } else { "error" };
-                    record(&mut lat, kind, ms, None, false);
-                }
-            })
-        })
-        .collect();
-    let mut latencies = Latencies::default();
-    for h in handles {
-        latencies.absorb(h.join().expect("client thread"));
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    latencies.sort();
-    (latencies, elapsed)
+    let connect = || {
+        let stream = std::net::TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        stream
+    };
+    let send = |stream: &mut std::net::TcpStream, frame: &str| {
+        write_frame(stream, frame).expect("write");
+        let reply = read_frame(stream).expect("read").expect("frame");
+        if reply.contains("\"status\":\"ok\"") { Reply::Ok } else { Reply::Other }
+    };
+    drive(frames, clients, total, false, connect, send)
 }
 
 fn row(
@@ -213,29 +90,50 @@ fn row(
     workers: usize,
     clients: usize,
     queue_cap: usize,
-    counters: CounterSnapshot,
+    c: CounterSnapshot,
     backoff: bool,
     lat: &Latencies,
     elapsed: f64,
 ) -> PhaseRow {
-    PhaseRow {
-        phase,
-        transport,
-        workers,
-        clients,
-        queue_cap,
-        requests: lat.all.len() as u64,
-        counters,
-        backoff,
-        p50_ms: percentile(&lat.all, 0.50),
-        p99_ms: percentile(&lat.all, 0.99),
-        completed_p50_ms: percentile(&lat.completed, 0.50),
-        completed_p99_ms: percentile(&lat.completed, 0.99),
-        shed_p50_ms: percentile(&lat.shed, 0.50),
-        shed_p99_ms: percentile(&lat.shed, 0.99),
-        requests_per_sec: lat.all.len() as f64 / elapsed,
-        elapsed_ms: elapsed * 1000.0,
-    }
+    let requests = lat.all.len();
+    let requests_per_sec = requests as f64 / elapsed;
+    let (p50_ms, p99_ms) = (percentile(&lat.all, 0.50), percentile(&lat.all, 0.99));
+    let listeners: u64 = if transport == "epoll" { 2 } else { 0 };
+    let summary = format!(
+        "  {phase:<10} {transport:<10} {requests:>6} requests  {requests_per_sec:>9.0} req/s  \
+         p50={p50_ms:.2}ms p99={p99_ms:.2}ms  ok={} shed={} degraded={} deadline={} \
+         cache_hits={} coalesced={}",
+        c.completed, c.shed, c.degraded, c.deadline_expired, c.cache_hits, c.coalesced,
+    );
+    let fields = vec![
+        phase.into(),
+        transport.into(),
+        workers.into(),
+        clients.into(),
+        queue_cap.into(),
+        requests.into(),
+        c.completed.into(),
+        c.shed.into(),
+        c.degraded.into(),
+        c.deadline_expired.into(),
+        c.malformed.into(),
+        c.failed.into(),
+        c.cache_hits.into(),
+        c.cache_misses.into(),
+        c.coalesced.into(),
+        Field::Bool(backoff),
+        Field::Num(p50_ms, 3),
+        Field::Num(p99_ms, 3),
+        Field::Num(percentile(&lat.completed, 0.50), 3),
+        Field::Num(percentile(&lat.completed, 0.99), 3),
+        Field::Num(percentile(&lat.shed, 0.50), 4),
+        Field::Num(percentile(&lat.shed, 0.99), 4),
+        Field::Num(requests_per_sec, 1),
+        Field::Num(elapsed * 1000.0, 1),
+        host_cores().into(),
+        listeners.into(),
+    ];
+    PhaseRow { summary, fields }
 }
 
 /// A scratch directory for the steady phase's persistent cache,
@@ -258,17 +156,6 @@ impl ScratchDir {
 impl Drop for ScratchDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-fn steady_config(workers: usize, cache_dir: Option<std::path::PathBuf>) -> ServerConfig {
-    ServerConfig {
-        workers,
-        queue_cap: 256,
-        degrade_at: usize::MAX,
-        default_deadline_ms: 60_000,
-        cache_dir,
-        ..ServerConfig::default()
     }
 }
 
@@ -295,14 +182,19 @@ fn steady_frames() -> Vec<String> {
     (0..4).map(|i| request(&format!("w{i}"), &steady_kernel(i), 1024, "")).collect()
 }
 
-fn steady_phase(workers: usize, clients: usize, total: usize) -> PhaseRow {
-    let scratch = ScratchDir::new("steady");
+/// A server over a fresh persistent cache in `scratch`, warmed with the
+/// steady working set (returned as the frames to replay).
+fn warm_server(workers: usize, scratch: &ScratchDir) -> (Arc<Server>, Vec<String>) {
     let (server, _) =
-        Server::start(steady_config(workers, Some(scratch.0.clone()))).expect("start steady");
-    let server = Arc::new(server);
+        Server::start(steady_config(workers, Some(scratch.0.clone()))).expect("start server");
     let frames = steady_frames();
     warm(&server, &frames);
-    let frames = Arc::new(frames);
+    (Arc::new(server), frames)
+}
+
+fn steady_phase(workers: usize, clients: usize, total: usize) -> PhaseRow {
+    let scratch = ScratchDir::new("steady");
+    let (server, frames) = warm_server(workers, &scratch);
 
     let (lat, elapsed) = fire(&server, &frames, clients, total, false);
     let counters = server.counters();
@@ -323,12 +215,7 @@ fn steady_phase(workers: usize, clients: usize, total: usize) -> PhaseRow {
 fn steady_tcp_phase(workers: usize, clients: usize, total: usize) -> PhaseRow {
     use flexcl_serve::net::epoll::{EpollOptions, EpollTransport};
     let scratch = ScratchDir::new("steady-tcp");
-    let (server, _) =
-        Server::start(steady_config(workers, Some(scratch.0.clone()))).expect("start steady-tcp");
-    let server = Arc::new(server);
-    let frames = steady_frames();
-    warm(&server, &frames);
-    let frames = Arc::new(frames);
+    let (server, frames) = warm_server(workers, &scratch);
 
     let transport = EpollTransport::bind(
         Arc::clone(&server),
@@ -348,24 +235,14 @@ fn steady_tcp_phase(workers: usize, clients: usize, total: usize) -> PhaseRow {
 /// cache-less server: every request that arrives while a twin's sweep
 /// is queued or executing parks on it, so one sweep fans out to many.
 fn coalesce_phase(workers: usize, clients: usize) -> PhaseRow {
-    let queue_cap = 256;
-    let (server, _) = Server::start(ServerConfig {
-        workers,
-        queue_cap,
-        degrade_at: usize::MAX,
-        default_deadline_ms: 60_000,
-        ..ServerConfig::default()
-    })
-    .expect("start coalesce");
-    let server = Arc::new(server);
-
-    let frames = Arc::new(vec![request(
+    let (server, _) = Server::start(steady_config(workers, None)).expect("start coalesce");
+    let frames = vec![request(
         "dup",
         "__kernel void hot(__global float* a, __global float* b) { \
            int i = get_global_id(0); b[i] = a[i] * a[i] + b[i]; }",
         4096,
         r#","grid":"fine""#,
-    )]);
+    )];
     let total = clients * 8;
     let (lat, elapsed) = fire(&server, &frames, clients, total, false);
     let counters = server.counters();
@@ -373,8 +250,8 @@ fn coalesce_phase(workers: usize, clients: usize) -> PhaseRow {
         counters.coalesced > 0,
         "identical concurrent requests coalesced zero times in {total} attempts"
     );
-    let r = row("coalesce", "in-process", workers, clients, queue_cap, counters, false, &lat, elapsed);
-    Arc::into_inner(server).expect("sole handle").shutdown();
+    let r = row("coalesce", "in-process", workers, clients, 256, counters, false, &lat, elapsed);
+    server.shutdown();
     r
 }
 
@@ -391,7 +268,6 @@ fn overload_phase(workers: usize, clients: usize, backoff: bool) -> PhaseRow {
         ..ServerConfig::default()
     })
     .expect("start overload server");
-    let server = Arc::new(server);
 
     // Unique fine-grid sources (no cache or coalescing relief) plus a
     // slice of impossible deadlines: every robustness counter must move.
@@ -410,7 +286,6 @@ fn overload_phase(workers: usize, clients: usize, backoff: bool) -> PhaseRow {
         })
         .collect();
     let total = frames.len();
-    let frames = Arc::new(frames);
 
     let (lat, elapsed) = fire(&server, &frames, clients, total, backoff);
     // The storm's deadline-0 requests race admission control and may all
@@ -430,237 +305,96 @@ fn overload_phase(workers: usize, clients: usize, backoff: bool) -> PhaseRow {
         &lat,
         elapsed,
     );
-    Arc::into_inner(server).expect("sole handle").shutdown();
+    server.shutdown();
     r
 }
 
-/// Every key a BENCH_serve.json row must carry.
-const BENCH_KEYS: [&str; 26] = [
-    "phase",
-    "transport",
-    "workers",
-    "clients",
-    "queue_cap",
-    "requests",
-    "completed",
-    "shed",
-    "degraded",
-    "deadline_expired",
-    "malformed",
-    "failed",
-    "cache_hits",
-    "cache_misses",
-    "coalesced",
-    "backoff",
-    "p50_ms",
-    "p99_ms",
-    "completed_p50_ms",
-    "completed_p99_ms",
-    "shed_p50_ms",
-    "shed_p99_ms",
-    "requests_per_sec",
-    "elapsed_ms",
-    "host_cores",
-    "listeners",
-];
-
 fn write_bench_json(rows: &[PhaseRow], out: Option<&str>) {
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut body = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        let c = &r.counters;
-        let listeners = if r.transport == "epoll" { 2 } else { 0 };
-        body.push_str(&format!(
-            "  {{\"phase\": \"{}\", \"transport\": \"{}\", \"workers\": {}, \"clients\": {}, \
-             \"queue_cap\": {}, \"requests\": {}, \"completed\": {}, \"shed\": {}, \
-             \"degraded\": {}, \"deadline_expired\": {}, \"malformed\": {}, \"failed\": {}, \
-             \"cache_hits\": {}, \"cache_misses\": {}, \"coalesced\": {}, \"backoff\": {}, \
-             \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"completed_p50_ms\": {:.3}, \
-             \"completed_p99_ms\": {:.3}, \"shed_p50_ms\": {:.4}, \"shed_p99_ms\": {:.4}, \
-             \"requests_per_sec\": {:.1}, \"elapsed_ms\": {:.1}, \"host_cores\": {}, \
-             \"listeners\": {}}}{}\n",
-            r.phase,
-            r.transport,
-            r.workers,
-            r.clients,
-            r.queue_cap,
-            r.requests,
-            c.completed,
-            c.shed,
-            c.degraded,
-            c.deadline_expired,
-            c.malformed,
-            c.failed,
-            c.cache_hits,
-            c.cache_misses,
-            c.coalesced,
-            r.backoff,
-            r.p50_ms,
-            r.p99_ms,
-            r.completed_p50_ms,
-            r.completed_p99_ms,
-            r.shed_p50_ms,
-            r.shed_p99_ms,
-            r.requests_per_sec,
-            r.elapsed_ms,
-            cores,
-            listeners,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    body.push_str("]\n");
-    let path = match out {
-        Some(p) => std::path::PathBuf::from(p),
-        None => std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_serve.json"),
-    };
-    std::fs::write(&path, body).expect("write BENCH_serve.json");
     for r in rows {
-        let c = &r.counters;
-        println!(
-            "  {:<10} {:<10} {:>6} requests  {:>9.0} req/s  p50={:.2}ms p99={:.2}ms  \
-             ok={} shed={} degraded={} deadline={} cache_hits={} coalesced={}",
-            r.phase,
-            r.transport,
-            r.requests,
-            r.requests_per_sec,
-            r.p50_ms,
-            r.p99_ms,
-            c.completed,
-            c.shed,
-            c.degraded,
-            c.deadline_expired,
-            c.cache_hits,
-            c.coalesced,
-        );
+        println!("{}", r.summary);
     }
-    println!("wrote {}", path.display());
+    let fields: Vec<Vec<Field>> = rows.iter().map(|r| r.fields.clone()).collect();
+    record::SERVE.write(&fields, out);
 }
 
-fn num_field(obj: &str, key: &str) -> Option<f64> {
-    obj.split(&format!("\"{key}\":"))
-        .nth(1)?
-        .trim_start()
-        .split(|c: char| c == ',' || c == '}')
-        .next()?
-        .trim()
-        .parse::<f64>()
-        .ok()
-}
-
-fn str_field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    obj.split(&format!("\"{key}\":")).nth(1)?.trim_start().strip_prefix('"')?.split('"').next()
-}
-
-/// Validates a BENCH_serve.json: schema keys on every row, finite
-/// positive throughput, optional steady-phase rps floor, and the
-/// overload / coalesce / warm-hit acceptance gates. Exits non-zero on
-/// the first problem.
-fn check_bench_json(
-    path: &str,
-    require_overload: bool,
-    require_coalesce: bool,
-    require_warm_hits: bool,
-    min_rps: Option<f64>,
-) {
-    let body = match std::fs::read_to_string(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("BENCH check: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let fail = |msg: String| -> ! {
-        eprintln!("BENCH check: {path}: {msg}");
-        std::process::exit(1);
-    };
-    let objects: Vec<&str> = body.lines().filter(|l| l.trim_start().starts_with('{')).collect();
-    if objects.is_empty() {
-        fail("no benchmark rows".to_string());
-    }
+/// The `--check` gates over BENCH_serve.json rows: finite positive
+/// throughput on every row, plus the steady-phase rps floor and the
+/// overload / coalesce / warm-hit acceptance gates the flags in `args`
+/// ask for.
+fn gate(rows: &[Json], args: &[String]) -> Result<(), String> {
+    let require = |flag: &str| args.iter().any(|a| a == flag);
+    let require_overload = require("--require-overload");
+    let require_coalesce = require("--require-coalesce");
+    let require_warm_hits = require("--require-warm-hits");
+    let min_rps: Option<f64> =
+        flag_value(args, "--min-rps").map(|v| v.parse().expect("bad --min-rps"));
     let mut saw_overload_gate = false;
     let mut saw_coalesce_gate = false;
     let mut saw_warm_gate = false;
-    for (i, obj) in objects.iter().enumerate() {
-        for key in BENCH_KEYS {
-            if !obj.contains(&format!("\"{key}\":")) {
-                fail(format!("row {i} is missing key \"{key}\""));
-            }
-        }
-        let rps = num_field(obj, "requests_per_sec")
-            .unwrap_or_else(|| fail(format!("row {i}: requests_per_sec is not a number")));
+    for (i, row) in rows.iter().enumerate() {
+        let num = |key| record::num(row, key).unwrap_or(0.0);
+        let rps = record::num(row, "requests_per_sec")
+            .ok_or(format!("row {i}: requests_per_sec is not a number"))?;
         if !rps.is_finite() || rps <= 0.0 {
-            fail(format!("row {i}: requests_per_sec = {rps} (must be finite and positive)"));
+            return Err(format!("row {i}: requests_per_sec = {rps} (must be finite and positive)"));
         }
-        let phase = str_field(obj, "phase").unwrap_or("?");
+        let phase = record::text(row, "phase").unwrap_or("?");
         if phase == "steady" {
             if let Some(floor) = min_rps {
                 if rps < floor {
-                    fail(format!("steady phase sustained {rps:.0} req/s < the {floor:.0} floor"));
+                    return Err(format!(
+                        "steady phase sustained {rps:.0} req/s < the {floor:.0} floor"
+                    ));
                 }
             }
             if require_warm_hits {
-                let hits = num_field(obj, "cache_hits").unwrap_or(0.0);
-                if hits <= 0.0 {
-                    fail("steady row: cache_hits = 0 — the warm cache is not being hit"
-                        .to_string());
+                if num("cache_hits") <= 0.0 {
+                    return Err(
+                        "steady row: cache_hits = 0 — the warm cache is not being hit".to_string()
+                    );
                 }
                 saw_warm_gate = true;
             }
         }
         if phase == "coalesce" && require_coalesce {
-            let coalesced = num_field(obj, "coalesced").unwrap_or(0.0);
-            if coalesced <= 0.0 {
-                fail("coalesce row: coalesced = 0 — identical in-flight requests did not share"
+            if num("coalesced") <= 0.0 {
+                return Err("coalesce row: coalesced = 0 — identical in-flight requests did not \
+                            share"
                     .to_string());
             }
             saw_coalesce_gate = true;
         }
         if phase == "overload" && require_overload {
-            let shed = num_field(obj, "shed").unwrap_or(0.0);
-            let degraded = num_field(obj, "degraded").unwrap_or(0.0);
-            let deadline = num_field(obj, "deadline_expired").unwrap_or(0.0);
-            let completed = num_field(obj, "completed").unwrap_or(0.0);
+            let (shed, degraded, deadline) =
+                (num("shed"), num("degraded"), num("deadline_expired"));
             if shed <= 0.0 || degraded <= 0.0 || deadline <= 0.0 {
-                fail(format!(
+                return Err(format!(
                     "overload row: shed={shed} degraded={degraded} \
                      deadline_expired={deadline} — all must be nonzero"
                 ));
             }
-            if completed <= 0.0 {
-                fail("overload row: server completed nothing under pressure".to_string());
+            if num("completed") <= 0.0 {
+                return Err("overload row: server completed nothing under pressure".to_string());
             }
             saw_overload_gate = true;
         }
     }
     if require_overload && !saw_overload_gate {
-        fail("no overload row to gate on".to_string());
+        return Err("no overload row to gate on".to_string());
     }
     if require_coalesce && !saw_coalesce_gate {
-        fail("no coalesce row to gate on".to_string());
+        return Err("no coalesce row to gate on".to_string());
     }
     if require_warm_hits && !saw_warm_gate {
-        fail("no steady row to gate warm hits on".to_string());
+        return Err("no steady row to gate warm hits on".to_string());
     }
-    println!("BENCH check: {path}: {} rows ok", objects.len());
-}
-
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
+    Ok(())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(path) = flag_value(&args, "--check") {
-        let min_rps = flag_value(&args, "--min-rps").map(|v| v.parse().expect("bad --min-rps"));
-        check_bench_json(
-            path,
-            args.iter().any(|a| a == "--require-overload"),
-            args.iter().any(|a| a == "--require-coalesce"),
-            args.iter().any(|a| a == "--require-warm-hits"),
-            min_rps,
-        );
+        record::SERVE.check_or_exit(path, |rows| gate(rows, &args));
         return;
     }
     let parse = |flag: &str, default: usize| -> usize {
@@ -690,4 +424,17 @@ fn main() {
     );
     rows.push(overload_phase(workers, overload_clients, backoff));
     write_bench_json(&rows, flag_value(&args, "--out"));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_bench_file_passes_the_tier1_check() {
+        let tier1 = "--require-overload --require-coalesce --require-warm-hits --min-rps 5000";
+        let args: Vec<String> = tier1.split(' ').map(String::from).collect();
+        let serve = record::SERVE;
+        serve.check(&serve.committed(), |rows| gate(rows, &args)).unwrap_or_else(|e| panic!("{e}"));
+    }
 }

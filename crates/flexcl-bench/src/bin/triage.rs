@@ -34,11 +34,14 @@
 //! * `--no-csv` — skip the `results/` CSVs (so a filtered smoke run does
 //!   not overwrite the committed full-suite artifacts).
 
-use flexcl_bench::{compile, write_csv};
+use flexcl_bench::record::{self, Field};
+use flexcl_bench::{compile, flag_value, write_csv};
 use flexcl_core::{
-    estimate, explore, is_iterative_stencil, KernelAnalysis, OptimizationConfig, Platform,
+    estimate, explore_space, is_iterative_stencil, DseOptions, KernelAnalysis, OptimizationConfig,
+    Platform, SweepGrid,
 };
 use flexcl_kernels::{all, Scale, Suite};
+use flexcl_serve::json::Json;
 use flexcl_sim::{system_run, SimError, SimOptions};
 
 /// One feasible design point with its signed error attribution.
@@ -94,7 +97,9 @@ fn triage_sweep(filter: Option<&str>) -> Vec<PointRow> {
         }
         let func = compile(&spec);
         let workload = spec.workload(Scale::Test, 1234);
-        let dse = explore(&func, &platform, &workload).expect("exploration");
+        let grid = SweepGrid::standard();
+        let dse = explore_space(&func, &platform, &workload, &grid, DseOptions::default())
+            .expect("exploration");
         for point in &dse.points {
             if !point.estimate.feasible {
                 continue;
@@ -209,114 +214,48 @@ fn kernel_rows(points: &[PointRow]) -> Vec<KernelRow> {
     rows
 }
 
-/// Every key a BENCH_accuracy.json row must carry, in emission order.
-const BENCH_KEYS: [&str; 10] = [
-    "kernel",
-    "suite",
-    "points",
-    "mean_abs_err_pct",
-    "max_abs_err_pct",
-    "worst_config",
-    "worst_err_pct",
-    "worst_err_comp_pct",
-    "worst_err_mem_pct",
-    "worst_err_overhead_pct",
-];
-
 /// Writes the per-kernel rows to `out` (default: repo-root
-/// `BENCH_accuracy.json`), one object per line like BENCH_dse.json.
+/// `BENCH_accuracy.json`).
 fn write_bench_json(rows: &[KernelRow], out: Option<&str>) {
-    let mut body = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        body.push_str(&format!(
-            "  {{\"kernel\": \"{}\", \"suite\": \"{}\", \"points\": {}, \
-             \"mean_abs_err_pct\": {:.3}, \"max_abs_err_pct\": {:.3}, \
-             \"worst_config\": \"{}\", \"worst_err_pct\": {:.3}, \
-             \"worst_err_comp_pct\": {:.3}, \"worst_err_mem_pct\": {:.3}, \
-             \"worst_err_overhead_pct\": {:.3}}}{}\n",
-            r.kernel,
-            r.suite,
-            r.points,
-            r.mean_abs_err_pct,
-            r.max_abs_err_pct,
-            r.worst_config,
-            r.worst_err_pct,
-            r.worst_err_comp_pct,
-            r.worst_err_mem_pct,
-            r.worst_err_overhead_pct,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    body.push_str("]\n");
-    let path = match out {
-        Some(p) => std::path::PathBuf::from(p),
-        None => std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_accuracy.json"),
-    };
-    std::fs::write(&path, body).expect("write BENCH_accuracy.json");
-    println!("wrote {}", path.display());
+    let records: Vec<Vec<Field>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.kernel.as_str().into(),
+                r.suite.into(),
+                r.points.into(),
+                Field::Num(r.mean_abs_err_pct, 3),
+                Field::Num(r.max_abs_err_pct, 3),
+                r.worst_config.as_str().into(),
+                Field::Num(r.worst_err_pct, 3),
+                Field::Num(r.worst_err_comp_pct, 3),
+                Field::Num(r.worst_err_mem_pct, 3),
+                Field::Num(r.worst_err_overhead_pct, 3),
+            ]
+        })
+        .collect();
+    record::ACCURACY.write(&records, out);
 }
 
-/// Validates a BENCH_accuracy.json produced by [`write_bench_json`]: at
-/// least one row, every schema key in every row, and finite non-negative
-/// `mean_abs_err_pct`. Exits non-zero with a message on the first problem.
-fn check_bench_json(path: &str) {
-    let body = match std::fs::read_to_string(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("BENCH check: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let fail = |msg: String| -> ! {
-        eprintln!("BENCH check: {path}: {msg}");
-        std::process::exit(1);
-    };
-    let objects: Vec<&str> =
-        body.lines().filter(|l| l.trim_start().starts_with('{')).collect();
-    if objects.is_empty() {
-        fail("no accuracy rows".to_string());
-    }
-    for (i, obj) in objects.iter().enumerate() {
-        for key in BENCH_KEYS {
-            if !obj.contains(&format!("\"{key}\":")) {
-                fail(format!("row {i} is missing key \"{key}\""));
-            }
-        }
-        let mean = obj
-            .split("\"mean_abs_err_pct\":")
-            .nth(1)
-            .and_then(|rest| {
-                rest.trim_start()
-                    .split(|c: char| c == ',' || c == '}')
-                    .next()?
-                    .trim()
-                    .parse::<f64>()
-                    .ok()
-            })
-            .unwrap_or_else(|| fail(format!("row {i}: mean_abs_err_pct is not a number")));
+/// The `--check` gate over BENCH_accuracy.json rows: a finite
+/// non-negative `mean_abs_err_pct` on every row.
+fn gate(rows: &[Json]) -> Result<(), String> {
+    for (i, row) in rows.iter().enumerate() {
+        let mean = record::num(row, "mean_abs_err_pct")
+            .ok_or(format!("row {i}: mean_abs_err_pct is not a number"))?;
         if !mean.is_finite() || mean < 0.0 {
-            fail(format!(
+            return Err(format!(
                 "row {i}: mean_abs_err_pct = {mean} (must be finite and non-negative)"
             ));
         }
     }
-    println!("BENCH check: {path}: {} rows ok", objects.len());
-}
-
-/// Value of a `--flag VALUE` pair in `args`, if present.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+    Ok(())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(path) = flag_value(&args, "--check") {
-        check_bench_json(path);
+        record::ACCURACY.check_or_exit(path, gate);
         return;
     }
     let filter = flag_value(&args, "--kernels");
@@ -463,5 +402,16 @@ fn main() {
             }
         }
         println!("accuracy smoke ok: all kernels within {limit}% mean |error|");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_bench_file_passes_the_tier1_check() {
+        let acc = record::ACCURACY;
+        acc.check(&acc.committed(), gate).unwrap_or_else(|e| panic!("{e}"));
     }
 }

@@ -8,7 +8,13 @@
 //! All experiments write both a human-readable report to stdout and a CSV
 //! under `results/`.
 
-use flexcl_core::{explore, KernelAnalysis, OptimizationConfig, Platform};
+pub mod load;
+pub mod record;
+
+use flexcl_core::{
+    explore_space, DseOptions, KernelAnalysis, OptimizationConfig, Platform, SweepGrid, Workload,
+};
+use flexcl_interp::KernelArg;
 use flexcl_ir::Function;
 use flexcl_kernels::{KernelSpec, Scale};
 use flexcl_sim::{system_run, SimError, SimOptions};
@@ -111,7 +117,9 @@ pub fn sweep_kernel(spec: &KernelSpec, platform: &Platform, scale: Scale) -> Ker
 
     // FlexCL: exhaustive exploration (includes per-wg analyses).
     let t0 = Instant::now();
-    let dse = explore(&func, platform, &workload).expect("exploration");
+    let grid = SweepGrid::standard();
+    let dse = explore_space(&func, platform, &workload, &grid, DseOptions::default())
+        .expect("exploration");
     let flexcl_time = t0.elapsed();
 
     // Reuse the per-wg analyses for the SDAccel baseline.
@@ -166,13 +174,30 @@ pub fn sweep_kernel(spec: &KernelSpec, platform: &Platform, scale: Scale) -> Ker
     }
 }
 
-/// Re-evaluates FlexCL only (no System Run) — used by timing comparisons.
-pub fn flexcl_only_sweep(spec: &KernelSpec, platform: &Platform, scale: Scale) -> Duration {
-    let func = compile(spec);
-    let workload = spec.workload(scale, 1234);
-    let t0 = Instant::now();
-    let _ = explore(&func, platform, &workload).expect("exploration");
-    t0.elapsed()
+/// The vector-add kernel the throughput harnesses sweep: three 4096-float
+/// buffers over a 1-D range.
+///
+/// # Panics
+///
+/// Panics if the fixed source fails the frontend — a bug.
+pub fn vadd() -> (Function, Workload) {
+    let p = flexcl_frontend::parse_and_check(
+        "__kernel void vadd(__global float* a, __global float* b, __global float* c) {
+            int i = get_global_id(0);
+            c[i] = a[i] + b[i];
+        }",
+    )
+    .expect("vadd frontend");
+    let f = flexcl_ir::lower_kernel(&p.kernels[0]).expect("vadd lowering");
+    let w = Workload {
+        args: vec![
+            KernelArg::FloatBuf(vec![1.0; 4096]),
+            KernelArg::FloatBuf(vec![2.0; 4096]),
+            KernelArg::FloatBuf(vec![0.0; 4096]),
+        ],
+        global: (4096, 1),
+    };
+    (f, w)
 }
 
 /// Finds a spec by `benchmark/kernel` name.
@@ -199,6 +224,18 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) {
         writeln!(f, "{r}").expect("write");
     }
     println!("wrote {}", path.display());
+}
+
+/// Value of a `--flag VALUE` pair in `args`, if present.
+pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
+}
+
+/// CPU cores of the measuring host, recorded in BENCH rows so gates that
+/// need parallel hardware (a threads=8 speedup) can tell when it was
+/// absent.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Formats a duration compactly.

@@ -560,119 +560,20 @@ impl KernelAnalysis {
             },
         })?;
 
-        // ---- memory: coalesce per buffer, interleave in work-item order,
-        // and classify against the banked DRAM (Table 1). Each profiled
-        // group's pattern-count delta enters the totals multiplied by its
-        // stratum weight, and per-work-item averages divide by the weighted
-        // work-item count — a weighted mixture over the strata that is
-        // bit-identical to the plain average when every weight is 1.
-        let unit_bytes = platform.mem_access_unit_bits / 8;
-        let group_bursts = trace_to_group_bursts_into(&profile.trace, unit_bytes, scratch);
-        let eff_wi = profile.weighted_work_items().max(1.0);
-
-        let (pipe_totals, weighted_bursts, weighted_extra, mem_group_max) =
-            replay_weighted(&platform, &group_bursts, &profile, 1, false, scratch);
-        let (phased_totals, _, _, mem_group_max_phased) =
-            replay_weighted(&platform, &group_bursts, &profile, 1, true, scratch);
-        let mut pattern_counts = PatternTable::new();
-        let mut pattern_counts_phased = PatternTable::new();
-        for (p, c) in pipe_totals.iter() {
-            pattern_counts[p] = c / eff_wi;
-        }
-        for (p, c) in phased_totals.iter() {
-            pattern_counts_phased[p] = c / eff_wi;
-        }
-        let global_accesses_per_wi = weighted_bursts / eff_wi;
-        let mem_extra_wi = weighted_extra / eff_wi;
-
-        // Distinct burst-owner runs per group (weighted): how finely the
-        // group's coalesced bursts interleave with its work-items. A fully
-        // coalesced group (one burst covering all work-items) has one
-        // owner; the pipeline integration uses this to model how much of
-        // the wave schedule the memory stream can actually overlap.
-        let mut owner_runs_weighted = 0.0f64;
-        let mut owner_weight_total = 0.0f64;
-        for (g, bursts) in group_bursts.iter() {
-            if bursts.is_empty() {
-                continue;
-            }
-            let mut runs = 0u64;
-            let mut last: Option<u64> = None;
-            for ob in bursts {
-                if last != Some(ob.work_item) {
-                    runs += 1;
-                    last = Some(ob.work_item);
-                }
-            }
-            let w = profile.group_weight(*g);
-            owner_runs_weighted += w * runs as f64;
-            owner_weight_total += w;
-        }
-        let burst_owners_per_group = if owner_weight_total > 0.0 {
-            owner_runs_weighted / owner_weight_total
-        } else {
-            0.0
-        };
-        // ---- thread-coarsening levels: re-derive the same memory
-        // summaries over the merged trace for every candidate factor that
-        // tiles the work-group. The merged stream is re-coalesced from
-        // scratch, so a factor-cf stencil window turns cf overlapping
-        // per-item bursts into one wider burst; normalization stays per
-        // original work-item (same `eff_wi`), so the evaluation's
-        // `l_mem_wi · n_wi_wg` algebra holds unchanged at every level.
+        // ---- memory: the base summary (factor 1), then one level per
+        // coarsening factor that tiles the work-group. A merged stream is
+        // re-coalesced from scratch, so a factor-cf stencil window turns cf
+        // overlapping per-item bursts into one wider burst; normalization
+        // stays per original work-item, so the evaluation's
+        // `l_mem_wi · n_wi_wg` algebra holds at every level.
+        let (base, group_bursts) = derive_mem_summary(&platform, &profile, 1, scratch);
         let wg_size = u64::from(work_group.0) * u64::from(work_group.1);
-        let mut coarsen_levels = Vec::new();
-        for cf in COARSEN_CANDIDATES {
-            if !wg_size.is_multiple_of(u64::from(cf)) {
-                continue;
-            }
-            let merged = coarsen_trace(&profile.trace, cf);
-            let merged_bursts = trace_to_group_bursts_into(&merged, unit_bytes, scratch);
-            let (cf_pipe, cf_bursts, cf_extra, cf_group_max) =
-                replay_weighted(&platform, &merged_bursts, &profile, 1, false, scratch);
-            let (cf_phased, _, _, cf_group_max_phased) =
-                replay_weighted(&platform, &merged_bursts, &profile, 1, true, scratch);
-            let mut counts = PatternTable::new();
-            let mut counts_phased = PatternTable::new();
-            for (p, c) in cf_pipe.iter() {
-                counts[p] = c / eff_wi;
-            }
-            for (p, c) in cf_phased.iter() {
-                counts_phased[p] = c / eff_wi;
-            }
-            let mut cf_owner_runs = 0.0f64;
-            let mut cf_owner_weight = 0.0f64;
-            for (g, bursts) in merged_bursts.iter() {
-                if bursts.is_empty() {
-                    continue;
-                }
-                let mut runs = 0u64;
-                let mut last: Option<u64> = None;
-                for ob in bursts {
-                    if last != Some(ob.work_item) {
-                        runs += 1;
-                        last = Some(ob.work_item);
-                    }
-                }
-                let w = profile.group_weight(*g);
-                cf_owner_runs += w * runs as f64;
-                cf_owner_weight += w;
-            }
-            coarsen_levels.push(CoarsenLevel {
-                factor: cf,
-                pattern_counts: counts,
-                pattern_counts_phased: counts_phased,
-                global_accesses_per_wi: cf_bursts / eff_wi,
-                mem_extra_wi: cf_extra / eff_wi,
-                burst_owners_per_group: if cf_owner_weight > 0.0 {
-                    cf_owner_runs / cf_owner_weight
-                } else {
-                    0.0
-                },
-                mem_group_max: cf_group_max,
-                mem_group_max_phased: cf_group_max_phased,
-            });
-        }
+        let coarsen_levels: Vec<CoarsenLevel> = COARSEN_CANDIDATES
+            .into_iter()
+            .filter(|&cf| wg_size.is_multiple_of(u64::from(cf)))
+            .map(|cf| derive_mem_summary(&platform, &profile, cf, scratch).0.level)
+            .collect();
+        let MemSummary { level, pipe_totals, phased_totals, weighted_extra } = base;
 
         let pattern_latencies = microbench::profile_cached(platform.dram);
         if pattern_latencies.iter().any(|(_, dt)| !dt.is_finite() || dt < 0.0) {
@@ -752,12 +653,12 @@ impl KernelAnalysis {
             work_group,
             global: workload.global,
             profile,
-            pattern_counts,
-            pattern_counts_phased,
+            pattern_counts: level.pattern_counts,
+            pattern_counts_phased: level.pattern_counts_phased,
             pattern_latencies,
-            global_accesses_per_wi,
-            mem_extra_wi,
-            burst_owners_per_group,
+            global_accesses_per_wi: level.global_accesses_per_wi,
+            mem_extra_wi: level.mem_extra_wi,
+            burst_owners_per_group: level.burst_owners_per_group,
             local_reads,
             local_writes,
             dsp_ops_per_wi,
@@ -768,8 +669,8 @@ impl KernelAnalysis {
             channel_contention,
             contention_probe,
             contention,
-            mem_group_max,
-            mem_group_max_phased,
+            mem_group_max: level.mem_group_max,
+            mem_group_max_phased: level.mem_group_max_phased,
             coarsen_levels,
             multipliers,
         })
@@ -1204,6 +1105,90 @@ impl KernelAnalysis {
     pub fn multiplier(&self, id: InstId) -> f64 {
         self.multipliers[id.0 as usize]
     }
+}
+
+/// One memory summary: the closed-form [`CoarsenLevel`] quantities plus
+/// the raw weighted totals the base analysis' contention curve is costed
+/// against.
+struct MemSummary {
+    level: CoarsenLevel,
+    /// Stratum-weighted pattern totals, work-item burst order.
+    pipe_totals: PatternTable<f64>,
+    /// Stratum-weighted pattern totals, phased reads-first.
+    phased_totals: PatternTable<f64>,
+    /// Stratum-weighted multi-beat transfer cycles.
+    weighted_extra: f64,
+}
+
+/// Derives the memory summary of the profiled trace after merging each
+/// run of `factor` consecutive work-items ([`coarsen_trace`]; factor 1 is
+/// the trace itself): coalesce per buffer and interleave in work-item
+/// order, classify against the banked DRAM (Table 1) in pipeline and in
+/// phased order, normalize per original (weighted) work-item, and count
+/// burst-owner runs. Each profiled group's pattern-count delta enters the
+/// totals multiplied by its stratum weight — a weighted mixture over the
+/// strata that is bit-identical to the plain average when all weights are
+/// one. Also returns the group burst lists, which the base analysis
+/// replays again for its contention probes.
+fn derive_mem_summary(
+    platform: &Platform,
+    profile: &Profile,
+    factor: u32,
+    scratch: &mut AnalysisScratch,
+) -> (MemSummary, Vec<(u64, Vec<OwnedBurst>)>) {
+    let eff_wi = profile.weighted_work_items().max(1.0);
+    let merged;
+    let trace = if factor > 1 {
+        merged = coarsen_trace(&profile.trace, factor);
+        &merged
+    } else {
+        &profile.trace
+    };
+    let group_bursts =
+        trace_to_group_bursts_into(trace, platform.mem_access_unit_bits / 8, scratch);
+    let (pipe_totals, weighted_bursts, weighted_extra, mem_group_max) =
+        replay_weighted(platform, &group_bursts, profile, 1, false, scratch);
+    let (phased_totals, _, _, mem_group_max_phased) =
+        replay_weighted(platform, &group_bursts, profile, 1, true, scratch);
+    let mut pattern_counts = PatternTable::new();
+    let mut pattern_counts_phased = PatternTable::new();
+    for (p, c) in pipe_totals.iter() {
+        pattern_counts[p] = c / eff_wi;
+    }
+    for (p, c) in phased_totals.iter() {
+        pattern_counts_phased[p] = c / eff_wi;
+    }
+
+    // Distinct burst-owner runs per group (weighted): how finely the
+    // group's coalesced bursts interleave with its work-items. A fully
+    // coalesced group (one burst covering all work-items) has one owner;
+    // the pipeline integration uses this to model how much of the wave
+    // schedule the memory stream can actually overlap.
+    let mut owner_runs_weighted = 0.0f64;
+    let mut owner_weight_total = 0.0f64;
+    for (g, bursts) in &group_bursts {
+        if bursts.is_empty() {
+            continue;
+        }
+        let runs = 1 + bursts.windows(2).filter(|b| b[0].work_item != b[1].work_item).count();
+        let w = profile.group_weight(*g);
+        owner_runs_weighted += w * runs as f64;
+        owner_weight_total += w;
+    }
+    let burst_owners_per_group =
+        if owner_weight_total > 0.0 { owner_runs_weighted / owner_weight_total } else { 0.0 };
+
+    let level = CoarsenLevel {
+        factor,
+        pattern_counts,
+        pattern_counts_phased,
+        global_accesses_per_wi: weighted_bursts / eff_wi,
+        mem_extra_wi: weighted_extra / eff_wi,
+        burst_owners_per_group,
+        mem_group_max,
+        mem_group_max_phased,
+    };
+    (MemSummary { level, pipe_totals, phased_totals, weighted_extra }, group_bursts)
 }
 
 /// Replays the profiled group streams round-robin across `streams` DRAM

@@ -256,7 +256,7 @@ pub struct SweepGrid {
 impl SweepGrid {
     /// The paper-scale grid: 100–400 configurations per kernel, matching
     /// the "#Designs" column of Table 2. This is what [`enumerate`] and
-    /// [`crate::dse::explore_with`] sweep.
+    /// [`crate::FlexCl::explore_source`] sweep.
     pub fn standard() -> Self {
         SweepGrid {
             work_groups_1d: vec![(16, 1), (32, 1), (64, 1), (128, 1), (256, 1)],

@@ -29,10 +29,10 @@
 //! * **Memoization** — kernel and platform are interned behind [`Arc`]s,
 //!   each family is analyzed once behind a [`OnceLock`] (whichever worker
 //!   touches it first), and completed analyses are kept in a bounded
-//!   process-wide content-keyed cache ([`DseOptions::reuse_analysis`],
-//!   capacity [`DseOptions::analysis_cache_cap`]) so repeated sweeps skip
-//!   profiling. [`DseResult::stats`] reports where the time went and how
-//!   the caches performed.
+//!   process-wide content-keyed cache (capacity
+//!   [`DseOptions::analysis_cache_cap`], `0` to disable) so repeated
+//!   sweeps skip profiling. [`DseResult::stats`] reports where the time
+//!   went and how the caches performed.
 //! * **Pruning with deterministic replay** — optionally, a chunk's mode
 //!   whose cheap monotonic lower bound ([`cycle_lower_bound`]) exceeds
 //!   the shared atomic incumbent is skipped without evaluating. The
@@ -110,7 +110,7 @@ fn dse_metrics() -> &'static DseMetrics {
 /// (a chunk is the unit of isolation — bounded work, never a hung
 /// worker), and returns [`FlexclError::Deadline`] carrying the partial
 /// [`DseStats`] accumulated before the stop. A sweep observes the token
-/// only through [`explore_space_deadline`]; the plain entry points never
+/// only through [`explore_space_cached`]; the other entry points never
 /// cancel.
 ///
 /// Cloning shares the token: `cancel()` through any clone stops every
@@ -233,31 +233,27 @@ pub struct DseOptions {
     /// exhausts it fails that family with
     /// [`ErrorKind::ResourceLimit`] instead of hanging the sweep.
     pub fuel: ProfileFuel,
-    /// Reuse kernel analyses across sweeps of the same
-    /// `(kernel, platform, workload, work_group, fuel)` through a small
-    /// process-wide cache. Repeated sweeps (parameter studies, benchmark
-    /// harnesses) then skip re-profiling entirely; the estimates are
-    /// bit-identical because the cached analysis is the same value the
-    /// sweep would recompute. Disable to force every sweep to re-analyze.
-    pub reuse_analysis: bool,
     /// Candidates per work unit. `0` picks an automatic size that gives
     /// each worker ~32 chunks of slack (clamped to `16..=2048`). The
     /// explored points are bit-identical for every chunk size; smaller
     /// chunks balance better, larger chunks amortize claiming overhead.
     pub chunk_size: usize,
-    /// Capacity of the process-wide analysis cache (resident entries
-    /// before FIFO eviction). Only consulted when inserting; sweeps with
-    /// different caps share the one cache. **`0` disables the cache for
-    /// this sweep** — no lookups and no inserts, exactly as if
-    /// [`DseOptions::reuse_analysis`] were `false` — rather than behaving
-    /// as some accidental tiny capacity.
+    /// Capacity of the analysis cache (resident entries before FIFO
+    /// eviction). Analyses are reused across sweeps of the same
+    /// `(kernel, platform, workload, work_group, fuel)`, so repeated
+    /// sweeps (parameter studies, benchmark harnesses) skip re-profiling
+    /// entirely; the estimates are bit-identical because the cached
+    /// analysis is the same value the sweep would recompute. Only
+    /// consulted when inserting; sweeps with different caps share the one
+    /// cache. **`0` disables the cache for this sweep** — no lookups and
+    /// no inserts, every family re-analyzed — rather than behaving as
+    /// some accidental tiny capacity.
     pub analysis_cache_cap: usize,
-    /// Per-sweep fault injection for the robustness test surface: unlike
-    /// the process-global [`testhook`] arming, a fault injected here is
-    /// scoped to this one sweep, so concurrent sweeps (a serving batch)
+    /// Fault injection for the robustness test surface, scoped to this
+    /// one sweep, so concurrent sweeps (a serving batch, parallel tests)
     /// can prove isolation. Production callers leave it `None`.
     #[doc(hidden)]
-    pub inject: Option<testhook::InjectedFault>,
+    pub inject: Option<InjectedFault>,
 }
 
 impl Default for DseOptions {
@@ -266,7 +262,6 @@ impl Default for DseOptions {
             threads: 1,
             prune: false,
             fuel: ProfileFuel::default(),
-            reuse_analysis: true,
             chunk_size: 0,
             analysis_cache_cap: analysis_cache::DEFAULT_CAP,
             inject: None,
@@ -398,8 +393,8 @@ pub struct DseStats {
     /// Candidate configurations successfully evaluated (including any
     /// re-evaluated by the deterministic replay pass).
     pub points_evaluated: usize,
-    /// Families served by the process-wide analysis cache
-    /// ([`DseOptions::reuse_analysis`]).
+    /// Families served by the analysis cache
+    /// ([`DseOptions::analysis_cache_cap`]).
     pub analysis_cache_hits: u64,
     /// Families that ran the full analysis (profiling included).
     pub analysis_cache_misses: u64,
@@ -1007,12 +1002,10 @@ fn analyze_family(
     });
     let t = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        testhook::maybe_panic(work_group);
-        if opts.inject == Some(testhook::InjectedFault::AnalysisPanic) {
-            panic!(
-                "testhook: injected per-sweep panic analyzing work-group {}x{}",
-                work_group.0, work_group.1
-            );
+        if let Some(InjectedFault::AnalysisPanic(target)) = opts.inject {
+            if target.is_none_or(|wg| wg == work_group) {
+                panic!("injected panic analyzing work-group {}x{}", work_group.0, work_group.1);
+            }
         }
         if let Some(key) = &cache_key {
             if let Some(hit) = cache.lookup(key) {
@@ -1067,7 +1060,7 @@ fn evaluate_entries<A: Borrow<KernelAnalysis>>(
     entries: &[(usize, OptimizationConfig)],
     keep: [bool; 2],
     incumbent: &Incumbent,
-    inject: Option<testhook::InjectedFault>,
+    inject: Option<InjectedFault>,
     out: &mut ChunkOutcome,
 ) {
     let before = ctx.stats;
@@ -1078,9 +1071,8 @@ fn evaluate_entries<A: Borrow<KernelAnalysis>>(
             continue;
         }
         match catch_unwind(AssertUnwindSafe(|| {
-            testhook::maybe_panic_estimate(idx);
-            if inject == Some(testhook::InjectedFault::EstimatePanic(idx)) {
-                panic!("testhook: injected per-sweep panic for candidate {idx}");
+            if inject == Some(InjectedFault::EstimatePanic(idx)) {
+                panic!("injected panic for candidate {idx}");
             }
             ctx.estimate(&cfg)
         })) {
@@ -1249,7 +1241,7 @@ fn run_sweep(
     // One content fingerprint covers the whole sweep: families differ only
     // in work-group size, which is part of the cache key, not the hash.
     // Capacity 0 is the documented no-cache mode: no lookups, no inserts.
-    let fingerprint = (opts.reuse_analysis && opts.analysis_cache_cap > 0)
+    let fingerprint = (opts.analysis_cache_cap > 0)
         .then(|| analysis_cache::fingerprint(&func, &platform, workload));
 
     let family_lens: Vec<usize> = (0..set.family_count()).map(|f| set.family_len(f)).collect();
@@ -1417,52 +1409,19 @@ fn account_families(states: &[FamilyState], stats: &mut DseStats) {
     }
 }
 
-/// Exhaustively explores the design space of `func` on `workload` with the
-/// default [`DseOptions`] (serial, no pruning).
+/// Explores the design space of `func` on `workload` over a knob
+/// [`SweepGrid`] under `opts`, reusing analyses through the process-wide
+/// [`AnalysisCache`].
 ///
-/// # Errors
-///
-/// Returns [`FlexclError::Platform`] if the platform description is
-/// invalid. Per-candidate failures do not abort the sweep; they are
-/// recorded in [`DseResult::diagnostics`].
-pub fn explore(
-    func: &Function,
-    platform: &Platform,
-    workload: &Workload,
-) -> Result<DseResult, FlexclError> {
-    explore_with(func, platform, workload, DseOptions::default())
-}
-
-/// Explores the design space of `func` on `workload` under `opts`, over
-/// the [`SweepGrid::standard`] grid.
-///
-/// With `opts.prune == false` the explored points are exactly the
-/// enumerated space in enumeration order (minus failed candidates),
-/// bit-identical for every thread count and chunk size. With pruning,
-/// dominated points may be absent, but the surviving set is still
-/// deterministic and [`DseResult::best`] matches the exhaustive sweep.
-///
-/// # Errors
-///
-/// Returns [`FlexclError::Platform`] if the platform description is
-/// invalid. Per-candidate failures do not abort the sweep; they are
-/// recorded in [`DseResult::diagnostics`].
-pub fn explore_with(
-    func: &Function,
-    platform: &Platform,
-    workload: &Workload,
-    opts: DseOptions,
-) -> Result<DseResult, FlexclError> {
-    explore_space(func, platform, workload, &SweepGrid::standard(), opts)
-}
-
-/// Explores the design space of `func` on `workload` over an explicit
-/// knob [`SweepGrid`] under `opts`.
-///
-/// This is the large-sweep entry point: the [`ConfigSpace`] is decoded
-/// chunk by chunk, so a [`SweepGrid::fine`] or [`SweepGrid::ultra`] grid
-/// with 10⁵–10⁶⁺ candidates never materializes its candidate list. The
-/// determinism guarantees of [`explore_with`] apply unchanged.
+/// The [`ConfigSpace`] is decoded chunk by chunk, so a [`SweepGrid::fine`]
+/// or [`SweepGrid::ultra`] grid with 10⁵–10⁶⁺ candidates never
+/// materializes its candidate list; [`SweepGrid::standard`] is the
+/// paper's Table 2 space. With `opts.prune == false` the explored points
+/// are exactly the enumerated space in enumeration order (minus failed
+/// candidates), bit-identical for every thread count and chunk size.
+/// With pruning, dominated points may be absent, but the surviving set is
+/// still deterministic and [`DseResult::best`] matches the exhaustive
+/// sweep.
 ///
 /// # Errors
 ///
@@ -1479,23 +1438,30 @@ pub fn explore_space(
     explore_space_cached(func, platform, workload, grid, opts, None, analysis_cache::global())
 }
 
-/// [`explore_space`] with an explicit cancellation token and analysis
-/// store — the fully-general sweep entry point the others delegate to.
+/// [`explore_space`] with an optional cancellation token and a
+/// caller-owned analysis store.
 ///
-/// `cancel` bounds the sweep exactly as in [`explore_space_deadline`]
-/// (pass `None` for an unbounded sweep). `cache` names the
-/// [`AnalysisCache`] the sweep reuses per-family analyses from: the
-/// default entry points share one process-wide store, while a serving
-/// deployment passes its own so warm-path reuse is scoped to the server
-/// instance (and dies with it) instead of leaking across tenants of the
-/// process. The cache only changes *where* settled analyses are found —
-/// explored points are bit-identical whichever store is supplied.
+/// `cancel` (pass `None` for an unbounded sweep) is consulted at every
+/// chunk-claim boundary, so an expired deadline or an explicit
+/// [`CancelToken::cancel`] stops the sweep mid-flight. A stopped sweep
+/// returns [`FlexclError::Deadline`] carrying the partial [`DseStats`]
+/// accumulated before the stop; the (incomplete) design points are
+/// discarded so callers can never mistake a truncated Pareto set for a
+/// full one. A sweep that finishes before the token trips is
+/// bit-identical to an unbounded one.
+///
+/// `cache` names the [`AnalysisCache`] the sweep reuses per-family
+/// analyses from: a serving deployment passes its own so warm-path reuse
+/// is scoped to the server instance (and dies with it) instead of leaking
+/// across tenants of the process. The cache only changes *where* settled
+/// analyses are found — explored points are bit-identical whichever
+/// store is supplied.
 ///
 /// # Errors
 ///
-/// As [`explore_space_deadline`]: [`FlexclError::Platform`] for an
-/// invalid platform description, [`FlexclError::Deadline`] when a
-/// supplied token trips mid-sweep.
+/// [`FlexclError::Platform`] for an invalid platform description,
+/// [`FlexclError::Deadline`] when a supplied token trips before the sweep
+/// covers the space. Per-candidate failures still do not abort the sweep.
 pub fn explore_space_cached(
     func: &Function,
     platform: &Platform,
@@ -1522,36 +1488,9 @@ pub fn explore_space_cached(
     )
 }
 
-/// Explores a knob grid like [`explore_space`], but bounded by a
-/// [`CancelToken`]: the token is consulted at every chunk-claim boundary,
-/// so an expired deadline or an explicit [`CancelToken::cancel`] stops
-/// the sweep mid-flight instead of letting it run to completion.
-///
-/// A stopped sweep returns [`FlexclError::Deadline`] carrying the partial
-/// [`DseStats`] accumulated before the stop; the (incomplete) design
-/// points are discarded so callers can never mistake a truncated Pareto
-/// set for a full one. A sweep that finishes before the token trips is
-/// bit-identical to [`explore_space`] with the same options.
-///
-/// # Errors
-///
-/// Returns [`FlexclError::Platform`] for an invalid platform description
-/// and [`FlexclError::Deadline`] when the token trips before the sweep
-/// covers the space. Per-candidate failures still do not abort the sweep.
-pub fn explore_space_deadline(
-    func: &Function,
-    platform: &Platform,
-    workload: &Workload,
-    grid: &SweepGrid,
-    opts: DseOptions,
-    cancel: &CancelToken,
-) -> Result<DseResult, FlexclError> {
-    explore_space_cached(func, platform, workload, grid, opts, Some(cancel), analysis_cache::global())
-}
-
 /// Explores an explicit list of candidate configurations under `opts`.
 ///
-/// This is the fault-injection surface: unlike [`explore_with`], the
+/// This is the fault-injection surface: unlike [`explore_space`], the
 /// candidates need not come from [`crate::config::enumerate`] — invalid entries
 /// are diagnosed per candidate ([`ErrorKind::Config`]) and skipped, and
 /// the surviving points are bit-identical to a sweep over only the valid
@@ -1611,75 +1550,24 @@ pub fn explore_configs(
     )
 }
 
-/// Test-only fault injection for the DSE panic backstop.
+/// A fault injected into a single sweep through [`DseOptions::inject`].
 ///
 /// Hidden from docs and not part of the public API contract: the
-/// fault-injection suite arms a panic for a specific work-group size (the
-/// analysis path) or a specific candidate index (the estimate path) and
-/// asserts the sweep survives, attributes the failure, and leaves every
-/// other point bit-identical. Disarmed state (the default) is a single
-/// relaxed atomic load on the sweep path.
+/// fault-injection suite and the serving layer's per-request fault
+/// surface poison one sweep and assert it survives, attributes the
+/// failure, and leaves every other point — and every concurrent sweep —
+/// bit-identical.
 #[doc(hidden)]
-pub mod testhook {
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-    /// `0` = disarmed; otherwise the packed work-group to panic on.
-    static ARMED: AtomicU64 = AtomicU64::new(0);
-
-    /// `usize::MAX` = disarmed; otherwise the enumeration index whose
-    /// estimate panics.
-    static ESTIMATE_ARMED: AtomicUsize = AtomicUsize::new(usize::MAX);
-
-    fn pack(wg: (u32, u32)) -> u64 {
-        (u64::from(wg.0) << 32) | u64::from(wg.1)
-    }
-
-    /// Arms an injected panic for analyses of work-group `wg`.
-    pub fn arm_panic(wg: (u32, u32)) {
-        ARMED.store(pack(wg), Ordering::SeqCst);
-    }
-
-    /// Arms an injected panic for the estimate of the candidate at
-    /// enumeration index `index`.
-    pub fn arm_estimate_panic(index: usize) {
-        ESTIMATE_ARMED.store(index, Ordering::SeqCst);
-    }
-
-    /// Disarms all injected panics.
-    pub fn disarm() {
-        ARMED.store(0, Ordering::SeqCst);
-        ESTIMATE_ARMED.store(usize::MAX, Ordering::SeqCst);
-    }
-
-    pub(crate) fn maybe_panic(wg: (u32, u32)) {
-        if pack(wg) != 0 && ARMED.load(Ordering::Relaxed) == pack(wg) {
-            panic!("testhook: injected panic for work-group {}x{}", wg.0, wg.1);
-        }
-    }
-
-    pub(crate) fn maybe_panic_estimate(index: usize) {
-        if ESTIMATE_ARMED.load(Ordering::Relaxed) == index {
-            panic!("testhook: injected panic for candidate {index}");
-        }
-    }
-
-    /// A fault armed for a *single sweep* via
-    /// [`DseOptions::inject`](super::DseOptions), as opposed to the
-    /// process-global `arm_*` hooks above. Per-sweep injection is what the
-    /// serving layer uses to poison one request while concurrent sweeps in
-    /// the same process stay clean — the global hooks would leak across
-    /// requests.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum InjectedFault {
-        /// Panic inside the family analysis of every work-group in this
-        /// sweep (caught by the per-family backstop; the whole sweep
-        /// degrades to `ErrorKind::Panic` diagnostics).
-        AnalysisPanic,
-        /// Panic inside the estimate of the candidate at this enumeration
-        /// index (caught by the per-chunk backstop; only that candidate is
-        /// skipped).
-        EstimatePanic(usize),
-    }
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InjectedFault {
+    /// Panic inside the family analysis (caught by the per-family
+    /// backstop): of every work-group in the sweep with `None`, or only
+    /// of the given work-group with `Some(wg)`.
+    AnalysisPanic(Option<(u32, u32)>),
+    /// Panic inside the estimate of the candidate at this enumeration
+    /// index (caught by the per-chunk backstop; only that candidate is
+    /// skipped).
+    EstimatePanic(usize),
 }
 
 #[cfg(test)]
@@ -1723,6 +1611,16 @@ mod tests {
         (f, w)
     }
 
+    /// A sweep over the standard grid (the paper's Table 2 space).
+    fn sweep(
+        f: &Function,
+        platform: &Platform,
+        w: &Workload,
+        opts: DseOptions,
+    ) -> Result<DseResult, FlexclError> {
+        explore_space(f, platform, w, &SweepGrid::standard(), opts)
+    }
+
     fn assert_points_identical(a: &DseResult, b: &DseResult) {
         assert_eq!(a.points.len(), b.points.len());
         for (pa, pb) in a.points.iter().zip(&b.points) {
@@ -1734,7 +1632,8 @@ mod tests {
     #[test]
     fn sweep_covers_hundreds_of_points_quickly() {
         let (f, w) = vadd();
-        let result = explore(&f, &Platform::virtex7_adm7v3(), &w).expect("dse");
+        let platform = Platform::virtex7_adm7v3();
+        let result = sweep(&f, &platform, &w, DseOptions::default()).expect("dse");
         assert!(result.points.len() >= 100, "{} points", result.points.len());
         assert!(result.feasible_count() > result.points.len() / 2);
         assert!(result.diagnostics.is_clean(), "{:?}", result.diagnostics);
@@ -1748,7 +1647,8 @@ mod tests {
     #[test]
     fn best_point_beats_baseline() {
         let (f, w) = vadd();
-        let result = explore(&f, &Platform::virtex7_adm7v3(), &w).expect("dse");
+        let platform = Platform::virtex7_adm7v3();
+        let result = sweep(&f, &platform, &w, DseOptions::default()).expect("dse");
         let speedup = result.speedup_over_baseline().expect("speedup");
         assert!(speedup > 5.0, "speedup {speedup}");
         let best = result.best().expect("best");
@@ -1758,7 +1658,8 @@ mod tests {
     #[test]
     fn barrier_kernel_space_restricted() {
         let (f, w) = barrier_kernel();
-        let result = explore(&f, &Platform::virtex7_adm7v3(), &w).expect("dse");
+        let platform = Platform::virtex7_adm7v3();
+        let result = sweep(&f, &platform, &w, DseOptions::default()).expect("dse");
         assert!(result
             .points
             .iter()
@@ -1770,9 +1671,9 @@ mod tests {
         // vadd has no barrier, so its space includes pipeline-mode points.
         let (f, w) = vadd();
         let platform = Platform::virtex7_adm7v3();
-        let serial = explore(&f, &platform, &w).expect("serial");
+        let serial = sweep(&f, &platform, &w, DseOptions::default()).expect("serial");
         let parallel =
-            explore_with(&f, &platform, &w, DseOptions::parallel(4)).expect("parallel");
+            sweep(&f, &platform, &w, DseOptions::parallel(4)).expect("parallel");
         assert!(serial
             .points
             .iter()
@@ -1784,9 +1685,9 @@ mod tests {
     fn parallel_sweep_is_bit_identical_for_barrier_kernel() {
         let (f, w) = barrier_kernel();
         let platform = Platform::virtex7_adm7v3();
-        let serial = explore(&f, &platform, &w).expect("serial");
+        let serial = sweep(&f, &platform, &w, DseOptions::default()).expect("serial");
         let parallel =
-            explore_with(&f, &platform, &w, DseOptions::parallel(3)).expect("parallel");
+            sweep(&f, &platform, &w, DseOptions::parallel(3)).expect("parallel");
         assert_points_identical(&serial, &parallel);
     }
 
@@ -1796,8 +1697,8 @@ mod tests {
         // switches; the merged result must not care.
         let (f, w) = vadd();
         let platform = Platform::virtex7_adm7v3();
-        let serial = explore(&f, &platform, &w).expect("serial");
-        let chunked = explore_with(
+        let serial = sweep(&f, &platform, &w, DseOptions::default()).expect("serial");
+        let chunked = sweep(
             &f,
             &platform,
             &w,
@@ -1809,27 +1710,11 @@ mod tests {
     }
 
     #[test]
-    fn explore_space_standard_grid_matches_explore_with() {
-        let (f, w) = vadd();
-        let platform = Platform::virtex7_adm7v3();
-        let via_enumerate = explore(&f, &platform, &w).expect("explore");
-        let via_space = explore_space(
-            &f,
-            &platform,
-            &w,
-            &SweepGrid::standard(),
-            DseOptions::default(),
-        )
-        .expect("explore_space");
-        assert_points_identical(&via_enumerate, &via_space);
-    }
-
-    #[test]
     fn pruned_sweep_finds_the_same_best() {
         let (f, w) = vadd();
         let platform = Platform::virtex7_adm7v3();
-        let full = explore(&f, &platform, &w).expect("exhaustive");
-        let pruned = explore_with(
+        let full = sweep(&f, &platform, &w, DseOptions::default()).expect("exhaustive");
+        let pruned = sweep(
             &f,
             &platform,
             &w,
@@ -1858,7 +1743,7 @@ mod tests {
         // function of the schedule order, not of thread timing.
         let (f, w) = vadd();
         let platform = Platform::virtex7_adm7v3();
-        let reference = explore_with(
+        let reference = sweep(
             &f,
             &platform,
             &w,
@@ -1866,7 +1751,7 @@ mod tests {
         )
         .expect("reference");
         for threads in [2, 4, 8] {
-            let parallel = explore_with(
+            let parallel = sweep(
                 &f,
                 &platform,
                 &w,
@@ -1880,7 +1765,8 @@ mod tests {
     #[test]
     fn tie_breaks_are_deterministic() {
         let (f, w) = vadd();
-        let result = explore(&f, &Platform::virtex7_adm7v3(), &w).expect("dse");
+        let platform = Platform::virtex7_adm7v3();
+        let result = sweep(&f, &platform, &w, DseOptions::default()).expect("dse");
         // best() must return the earliest enumerated point among minima.
         let best = result.best().expect("best");
         let min_cycles = best.estimate.cycles;
@@ -1896,7 +1782,7 @@ mod tests {
     fn invalid_platform_is_rejected_up_front() {
         let (f, w) = vadd();
         let bad = Platform { global_ports: 0, ..Platform::virtex7_adm7v3() };
-        let err = explore(&f, &bad, &w).unwrap_err();
+        let err = sweep(&f, &bad, &w, DseOptions::default()).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Platform);
     }
 

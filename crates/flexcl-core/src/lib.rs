@@ -68,9 +68,8 @@ pub use config::{
     OptimizationConfig, SweepGrid, MAX_COARSEN, MAX_TEMPORAL_DEPTH,
 };
 pub use dse::{
-    explore, explore_configs, explore_space, explore_space_cached, explore_space_deadline,
-    explore_with, limits_for, AnalysisCache, CancelToken, DesignPoint, DiagnosticsReport,
-    DseOptions, DseResult, DseStats, FailedPoint,
+    explore_configs, explore_space, explore_space_cached, limits_for, AnalysisCache,
+    CancelToken, DesignPoint, DiagnosticsReport, DseOptions, DseResult, DseStats, FailedPoint,
 };
 pub use error::{ErrorKind, FlexclError};
 pub use eval::{EvalContext, EvalStats};
@@ -128,15 +127,13 @@ impl FlexCl {
         workload: &Workload,
         work_group: (u32, u32),
     ) -> Result<KernelAnalysis, FlexclError> {
-        let program = flexcl_frontend::parse_and_check(src)?;
-        let kernel = program
-            .kernel(name)
-            .ok_or_else(|| FlexclError::NoSuchKernel { name: name.to_string() })?;
-        let func = flexcl_ir::lower_kernel(kernel)?;
-        KernelAnalysis::analyze(&func, &self.platform, workload, work_group)
+        KernelAnalysis::analyze(&compile(src, name)?, &self.platform, workload, work_group)
     }
 
-    /// Exhaustively explores the design space of a kernel.
+    /// Compiles kernel `name` and explores its design space over the
+    /// [`SweepGrid::standard`] grid under `opts` (worker threads,
+    /// branch-and-bound pruning, profiling fuel); `DseOptions::default()`
+    /// is the exhaustive serial sweep.
     ///
     /// # Errors
     ///
@@ -148,32 +145,20 @@ impl FlexCl {
         src: &str,
         name: &str,
         workload: &Workload,
-    ) -> Result<DseResult, FlexclError> {
-        self.explore_source_with(src, name, workload, DseOptions::default())
-    }
-
-    /// [`Self::explore_source`] with explicit sweep options (worker
-    /// threads, branch-and-bound pruning, profiling fuel).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlexclError`] on frontend, lowering or platform-validation
-    /// failures. Per-candidate failures during the sweep are recorded in
-    /// [`DseResult::diagnostics`] instead of aborting.
-    pub fn explore_source_with(
-        &self,
-        src: &str,
-        name: &str,
-        workload: &Workload,
         opts: DseOptions,
     ) -> Result<DseResult, FlexclError> {
-        let program = flexcl_frontend::parse_and_check(src)?;
-        let kernel = program
-            .kernel(name)
-            .ok_or_else(|| FlexclError::NoSuchKernel { name: name.to_string() })?;
-        let func = flexcl_ir::lower_kernel(kernel)?;
-        dse::explore_with(&func, &self.platform, workload, opts)
+        let func = compile(src, name)?;
+        dse::explore_space(&func, &self.platform, workload, &SweepGrid::standard(), opts)
     }
+}
+
+/// Parses, checks and lowers kernel `name` of `src`.
+fn compile(src: &str, name: &str) -> Result<flexcl_ir::Function, FlexclError> {
+    let program = flexcl_frontend::parse_and_check(src)?;
+    let kernel = program
+        .kernel(name)
+        .ok_or_else(|| FlexclError::NoSuchKernel { name: name.to_string() })?;
+    Ok(flexcl_ir::lower_kernel(kernel)?)
 }
 
 #[cfg(test)]
@@ -233,7 +218,9 @@ mod tests {
     #[test]
     fn explore_source_round_trips() {
         let flexcl = FlexCl::new(Platform::virtex7_adm7v3());
-        let result = flexcl.explore_source(SRC, "scale", &workload()).expect("explore");
+        let result = flexcl
+            .explore_source(SRC, "scale", &workload(), DseOptions::default())
+            .expect("explore");
         assert!(result.feasible_count() > 0);
         // The constraint query returns a point meeting the bound.
         let analysis = flexcl

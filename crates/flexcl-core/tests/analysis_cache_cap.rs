@@ -6,37 +6,10 @@
 //! assertions depend on cache state and must not interleave with another
 //! sweep in the same process.
 
-use flexcl_core::{explore_with, DseOptions, DseResult, Platform, Workload};
-use flexcl_interp::KernelArg;
-use flexcl_ir::Function;
+mod common;
 
-fn vadd() -> (Function, Workload) {
-    let p = flexcl_frontend::parse_and_check(
-        "__kernel void vadd(__global float* a, __global float* b, __global float* c) {
-            int i = get_global_id(0);
-            c[i] = a[i] + b[i];
-        }",
-    )
-    .expect("frontend");
-    let f = flexcl_ir::lower_kernel(&p.kernels[0]).expect("lowering");
-    let w = Workload {
-        args: vec![
-            KernelArg::FloatBuf(vec![1.0; 4096]),
-            KernelArg::FloatBuf(vec![2.0; 4096]),
-            KernelArg::FloatBuf(vec![0.0; 4096]),
-        ],
-        global: (4096, 1),
-    };
-    (f, w)
-}
-
-fn assert_points_identical(a: &DseResult, b: &DseResult) {
-    assert_eq!(a.points.len(), b.points.len());
-    for (pa, pb) in a.points.iter().zip(&b.points) {
-        assert_eq!(pa.config, pb.config);
-        assert_eq!(pa.estimate, pb.estimate, "{}", pa.config);
-    }
-}
+use common::{assert_points_identical, sweep, vadd};
+use flexcl_core::{DseOptions, Platform};
 
 #[test]
 fn small_cache_caps_evict_fifo_and_account_hit_rates() {
@@ -47,7 +20,7 @@ fn small_cache_caps_evict_fifo_and_account_hit_rates() {
     // Cold sweep: every family misses and is inserted. vadd's standard
     // space has 5 work-group families, so a cap of 2 can hold at most the
     // two most recent.
-    let cold = explore_with(&f, &platform, &w, at_cap(2)).expect("cold sweep");
+    let cold = sweep(&f, &platform, &w, at_cap(2)).expect("cold sweep");
     let families = cold.stats.families_analyzed;
     assert!(families > 2, "need more families ({families}) than the cap");
     assert_eq!(cold.stats.analysis_cache_hits, 0);
@@ -61,7 +34,7 @@ fn small_cache_caps_evict_fifo_and_account_hit_rates() {
     // resident tail families are evicted by the head families' inserts
     // just before they would be queried, so every family misses again and
     // every insert evicts.
-    let warm_small = explore_with(&f, &platform, &w, at_cap(2)).expect("warm small");
+    let warm_small = sweep(&f, &platform, &w, at_cap(2)).expect("warm small");
     assert_eq!(warm_small.stats.analysis_cache_hits, 0);
     assert_eq!(warm_small.stats.analysis_cache_misses, families as u64);
     assert_eq!(warm_small.stats.analysis_cache_evictions, families as u64);
@@ -69,11 +42,11 @@ fn small_cache_caps_evict_fifo_and_account_hit_rates() {
     // A cap that fits the working set stops the churn: the two families
     // left resident hit immediately, the rest repopulate without
     // evicting, and from then on every family hits.
-    let repopulate = explore_with(&f, &platform, &w, at_cap(64)).expect("repopulate");
+    let repopulate = sweep(&f, &platform, &w, at_cap(64)).expect("repopulate");
     assert_eq!(repopulate.stats.analysis_cache_hits, 2);
     assert_eq!(repopulate.stats.analysis_cache_misses, families as u64 - 2);
     assert_eq!(repopulate.stats.analysis_cache_evictions, 0);
-    let warm = explore_with(&f, &platform, &w, at_cap(64)).expect("warm");
+    let warm = sweep(&f, &platform, &w, at_cap(64)).expect("warm");
     assert_eq!(warm.stats.analysis_cache_hits, families as u64);
     assert_eq!(warm.stats.analysis_cache_misses, 0);
     assert_eq!(warm.stats.analysis_cache_evictions, 0);

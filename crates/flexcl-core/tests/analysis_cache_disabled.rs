@@ -11,49 +11,32 @@
 //! process-global, so sharing a process with cache-exercising tests
 //! would make hit/miss counts racy.
 
-use flexcl_core::{explore_with, DseOptions, Platform, Workload};
-use flexcl_interp::KernelArg;
+mod common;
 
-fn fixture() -> (flexcl_ir::Function, Workload, Platform) {
-    let p = flexcl_frontend::parse_and_check(
-        "__kernel void vadd(__global float* a, __global float* b, __global float* c) {
-            int i = get_global_id(0);
-            c[i] = a[i] + b[i];
-        }",
-    )
-    .expect("frontend");
-    let f = flexcl_ir::lower_kernel(&p.kernels[0]).expect("lowering");
-    let w = Workload {
-        args: vec![
-            KernelArg::FloatBuf(vec![1.0; 4096]),
-            KernelArg::FloatBuf(vec![2.0; 4096]),
-            KernelArg::FloatBuf(vec![0.0; 4096]),
-        ],
-        global: (4096, 1),
-    };
-    (f, w, Platform::virtex7_adm7v3())
-}
+use common::sweep;
+use flexcl_core::{DseOptions, Platform};
 
 #[test]
 fn cap_zero_disables_the_analysis_cache_entirely() {
-    let (f, w, platform) = fixture();
-    let opts = DseOptions { reuse_analysis: true, analysis_cache_cap: 0, ..DseOptions::default() };
+    let (f, w) = common::vadd();
+    let platform = Platform::virtex7_adm7v3();
+    let opts = DseOptions { analysis_cache_cap: 0, ..DseOptions::default() };
 
     // First cap-0 sweep: every family must be a miss, nothing cached.
-    let first = explore_with(&f, &platform, &w, opts).expect("first sweep");
+    let first = sweep(&f, &platform, &w, opts).expect("first sweep");
     assert!(first.stats.families_analyzed > 0);
     assert_eq!(first.stats.analysis_cache_hits, 0, "cap 0 must never hit");
     assert_eq!(first.stats.analysis_cache_misses, first.stats.families_analyzed as u64);
 
     // Second cap-0 sweep of the *same content*: still all misses — the
     // first sweep must not have inserted anything behind our back.
-    let second = explore_with(&f, &platform, &w, opts).expect("second sweep");
+    let second = sweep(&f, &platform, &w, opts).expect("second sweep");
     assert_eq!(second.stats.analysis_cache_hits, 0, "first sweep leaked an insert");
     assert_eq!(second.stats.analysis_cache_misses, second.stats.families_analyzed as u64);
 
     // No-cache answers are bit-identical to cache-enabled answers.
-    let cached_opts = DseOptions { reuse_analysis: true, ..DseOptions::default() };
-    let cached = explore_with(&f, &platform, &w, cached_opts).expect("cached sweep");
+    let cached_opts = DseOptions::default();
+    let cached = sweep(&f, &platform, &w, cached_opts).expect("cached sweep");
     assert_eq!(first.points.len(), cached.points.len());
     for (a, b) in first.points.iter().zip(&cached.points) {
         assert_eq!(a.config, b.config);
@@ -63,6 +46,6 @@ fn cap_zero_disables_the_analysis_cache_entirely() {
     // And now the cache is warm: a third cache-enabled sweep hits, which
     // proves the earlier all-miss runs really did mean "disabled" rather
     // than "broken for everyone".
-    let warm = explore_with(&f, &platform, &w, cached_opts).expect("warm sweep");
+    let warm = sweep(&f, &platform, &w, cached_opts).expect("warm sweep");
     assert_eq!(warm.stats.analysis_cache_hits, warm.stats.families_analyzed as u64);
 }

@@ -12,36 +12,21 @@
 //!   size alone — threads ∈ {2, 4, 8} reproduce the threads = 1 sweep
 //!   bit for bit — and `best()` always matches the exhaustive sweep.
 
-use flexcl_core::{
-    explore_space, explore_with, DseOptions, DseResult, Platform, SweepGrid, Workload,
-};
+mod common;
+
+use common::assert_points_identical;
+use flexcl_core::{explore_space, DseOptions, DseResult, Platform, SweepGrid, Workload};
 use flexcl_interp::KernelArg;
 use flexcl_ir::Function;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
-/// vadd has no barrier, so its space spans both communication modes and
-/// every vector width — the richest pruning surface the standard grid
-/// offers.
+/// The shared vadd fixture (both communication modes, every vector
+/// width) on the reference platform, built once.
 fn fixture() -> &'static (Function, Workload, Platform) {
     static F: OnceLock<(Function, Workload, Platform)> = OnceLock::new();
     F.get_or_init(|| {
-        let p = flexcl_frontend::parse_and_check(
-            "__kernel void vadd(__global float* a, __global float* b, __global float* c) {
-                int i = get_global_id(0);
-                c[i] = a[i] + b[i];
-            }",
-        )
-        .expect("frontend");
-        let f = flexcl_ir::lower_kernel(&p.kernels[0]).expect("lowering");
-        let w = Workload {
-            args: vec![
-                KernelArg::FloatBuf(vec![1.0; 4096]),
-                KernelArg::FloatBuf(vec![2.0; 4096]),
-                KernelArg::FloatBuf(vec![0.0; 4096]),
-            ],
-            global: (4096, 1),
-        };
+        let (f, w) = common::vadd();
         (f, w, Platform::virtex7_adm7v3())
     })
 }
@@ -52,22 +37,14 @@ fn serial_exhaustive() -> &'static DseResult {
     static R: OnceLock<DseResult> = OnceLock::new();
     R.get_or_init(|| {
         let (f, w, platform) = fixture();
-        explore_with(f, platform, w, DseOptions::default()).expect("serial sweep")
+        common::sweep(f, platform, w, DseOptions::default()).expect("serial sweep")
     })
 }
 
 fn sweep(threads: usize, chunk_size: usize, prune: bool) -> DseResult {
     let (f, w, platform) = fixture();
     let opts = DseOptions { threads, chunk_size, prune, ..DseOptions::default() };
-    explore_with(f, platform, w, opts).expect("sweep")
-}
-
-fn assert_points_identical(a: &DseResult, b: &DseResult) {
-    assert_eq!(a.points.len(), b.points.len(), "point counts differ");
-    for (pa, pb) in a.points.iter().zip(&b.points) {
-        assert_eq!(pa.config, pb.config);
-        assert_eq!(pa.estimate, pb.estimate, "{}", pa.config);
-    }
+    common::sweep(f, platform, w, opts).expect("sweep")
 }
 
 /// An iterative stencil, so the enlarged fine grid enumerates BOTH new

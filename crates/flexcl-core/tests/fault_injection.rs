@@ -14,73 +14,28 @@
 //! Only corrupt platform tables reject the whole sweep, and they do so up
 //! front with a typed error rather than a hundred per-candidate failures.
 //!
+//! Panics are injected per sweep through `DseOptions::inject`, so the
+//! tests run in parallel and a poisoned sweep can share the process — and
+//! the wall clock — with a clean one.
+//!
 //! Most sweeps here run with `prune: false` (the default) so the clean
 //! reference covers every candidate; pruned sweeps are fair game too —
 //! the scheduler's deterministic replay pass makes even the pruned
 //! survivor set independent of thread timing (see
 //! `tests/chunk_determinism.rs`).
 
-use flexcl_core::dse::testhook;
+mod common;
+
+use common::{assert_points_identical, sweep, vadd};
+use flexcl_core::dse::InjectedFault;
 use flexcl_core::{
-    enumerate, explore_configs, explore_with, limits_for, DseOptions, DseResult, ErrorKind,
-    OptimizationConfig, Platform, ProfileFuel, Workload,
+    enumerate, explore_configs, limits_for, DseOptions, ErrorKind, OptimizationConfig, Platform,
+    ProfileFuel, Workload,
 };
 use flexcl_interp::KernelArg;
-use std::sync::Mutex;
-
-/// The testhook's armed state is process-global and an armed panic would
-/// leak into any concurrently running sweep, so every test in this file
-/// serializes on this lock (poison-tolerant: a failed test must not
-/// cascade into the others).
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn serialize() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Disarms the injected panic even if the test itself fails.
-struct Disarm;
-
-impl Drop for Disarm {
-    fn drop(&mut self) {
-        testhook::disarm();
-    }
-}
-
-fn compile(src: &str) -> flexcl_ir::Function {
-    let p = flexcl_frontend::parse_and_check(src).expect("frontend");
-    flexcl_ir::lower_kernel(&p.kernels[0]).expect("lowering")
-}
-
-fn vadd() -> (flexcl_ir::Function, Workload) {
-    let f = compile(
-        "__kernel void vadd(__global float* a, __global float* b, __global float* c) {
-            int i = get_global_id(0);
-            c[i] = a[i] + b[i];
-        }",
-    );
-    let w = Workload {
-        args: vec![
-            KernelArg::FloatBuf(vec![1.0; 4096]),
-            KernelArg::FloatBuf(vec![2.0; 4096]),
-            KernelArg::FloatBuf(vec![0.0; 4096]),
-        ],
-        global: (4096, 1),
-    };
-    (f, w)
-}
-
-fn assert_points_identical(a: &DseResult, b: &DseResult) {
-    assert_eq!(a.points.len(), b.points.len(), "point counts differ");
-    for (pa, pb) in a.points.iter().zip(&b.points) {
-        assert_eq!(pa.config, pb.config);
-        assert_eq!(pa.estimate, pb.estimate, "{}", pa.config);
-    }
-}
 
 #[test]
 fn poisoned_configs_are_skipped_and_survivors_are_bit_identical() {
-    let _guard = serialize();
     let (f, w) = vadd();
     let platform = Platform::virtex7_adm7v3();
     let valid = enumerate(&limits_for(&f, &w));
@@ -119,8 +74,7 @@ fn poisoned_configs_are_skipped_and_survivors_are_bit_identical() {
 
 #[test]
 fn runaway_kernel_exhausts_fuel_instead_of_hanging() {
-    let _guard = serialize();
-    let f = compile(
+    let p = flexcl_frontend::parse_and_check(
         "__kernel void spin(__global float* a) {
             int i = get_global_id(0);
             float acc = 0.0f;
@@ -129,7 +83,9 @@ fn runaway_kernel_exhausts_fuel_instead_of_hanging() {
             }
             a[i] = acc;
         }",
-    );
+    )
+    .expect("frontend");
+    let f = flexcl_ir::lower_kernel(&p.kernels[0]).expect("lowering");
     let w = Workload { args: vec![KernelArg::FloatBuf(vec![0.0; 64])], global: (64, 1) };
     let platform = Platform::virtex7_adm7v3();
     let opts = DseOptions {
@@ -137,7 +93,7 @@ fn runaway_kernel_exhausts_fuel_instead_of_hanging() {
         ..DseOptions::default()
     };
 
-    let result = explore_with(&f, &platform, &w, opts).expect("sweep completes");
+    let result = sweep(&f, &platform, &w, opts).expect("sweep completes");
     // Every family burns through the budget during profiling: no points,
     // every enumerated candidate attributed as a resource-limit failure.
     assert!(result.points.is_empty());
@@ -146,29 +102,27 @@ fn runaway_kernel_exhausts_fuel_instead_of_hanging() {
     assert_eq!(result.diagnostics.count_of(ErrorKind::ResourceLimit), n);
     assert!(result.diagnostics.failed[0].message.contains("spin"));
     // The same budget parallelized reports the same failures.
-    let par = explore_with(&f, &platform, &w, DseOptions { threads: 3, ..opts })
+    let par = sweep(&f, &platform, &w, DseOptions { threads: 3, ..opts })
         .expect("parallel sweep completes");
     assert_eq!(par.diagnostics, result.diagnostics);
 }
 
 #[test]
 fn corrupt_platform_table_is_rejected_up_front() {
-    let _guard = serialize();
     let (f, w) = vadd();
     let no_ports =
         Platform { local_read_ports_per_bank: 0, ..Platform::virtex7_adm7v3() };
-    let err = explore_with(&f, &no_ports, &w, DseOptions::default()).unwrap_err();
+    let err = sweep(&f, &no_ports, &w, DseOptions::default()).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::Platform);
     assert!(err.to_string().contains("read port"), "{err}");
 
     let nan_clock = Platform { frequency_mhz: f64::NAN, ..Platform::virtex7_adm7v3() };
-    let err = explore_with(&f, &nan_clock, &w, DseOptions::default()).unwrap_err();
+    let err = sweep(&f, &nan_clock, &w, DseOptions::default()).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::Platform);
 }
 
 #[test]
 fn injected_panic_is_contained_and_attributed() {
-    let _guard = serialize();
     let (f, w) = vadd();
     let platform = Platform::virtex7_adm7v3();
     let all = enumerate(&limits_for(&f, &w));
@@ -180,11 +134,12 @@ fn injected_panic_is_contained_and_attributed() {
         .expect("clean sweep");
 
     for threads in [1, 4] {
-        let _disarm = Disarm;
-        testhook::arm_panic((64, 1));
-        let opts = DseOptions { threads, ..DseOptions::default() };
-        let result = explore_with(&f, &platform, &w, opts).expect("sweep survives the panic");
-        testhook::disarm();
+        let opts = DseOptions {
+            threads,
+            inject: Some(InjectedFault::AnalysisPanic(Some((64, 1)))),
+            ..DseOptions::default()
+        };
+        let result = sweep(&f, &platform, &w, opts).expect("sweep survives the panic");
 
         let poisoned_family = all.iter().filter(|c| c.work_group == (64, 1)).count();
         assert_eq!(result.diagnostics.skipped_count(), poisoned_family);
@@ -201,7 +156,6 @@ fn injected_panic_is_contained_and_attributed() {
 
 #[test]
 fn estimate_panic_is_isolated_to_one_candidate() {
-    let _guard = serialize();
     let (f, w) = vadd();
     let platform = Platform::virtex7_adm7v3();
     let all = enumerate(&limits_for(&f, &w));
@@ -222,11 +176,13 @@ fn estimate_panic_is_isolated_to_one_candidate() {
 
     for threads in [1, 4] {
         // Small chunks so the poisoned family spans many chunks.
-        let opts = DseOptions { threads, chunk_size: 7, ..DseOptions::default() };
-        let _disarm = Disarm;
-        testhook::arm_estimate_panic(victim);
-        let result = explore_with(&f, &platform, &w, opts).expect("sweep survives the panic");
-        testhook::disarm();
+        let opts = DseOptions {
+            threads,
+            chunk_size: 7,
+            inject: Some(InjectedFault::EstimatePanic(victim)),
+            ..DseOptions::default()
+        };
+        let result = sweep(&f, &platform, &w, opts).expect("sweep survives the panic");
 
         assert_eq!(result.diagnostics.skipped_count(), 1);
         let fp = &result.diagnostics.failed[0];
@@ -242,37 +198,35 @@ fn estimate_panic_is_isolated_to_one_candidate() {
 
 #[test]
 fn per_sweep_injected_faults_poison_only_their_own_sweep() {
-    let _guard = serialize();
     let (f, w) = vadd();
     let platform = Platform::virtex7_adm7v3();
-    let clean = explore_with(&f, &platform, &w, DseOptions::default()).expect("clean sweep");
+    let clean = sweep(&f, &platform, &w, DseOptions::default()).expect("clean sweep");
     assert!(clean.diagnostics.is_clean());
 
-    // An analysis panic armed through DseOptions (the serving layer's
-    // per-request fault surface) takes down every family of *that* sweep…
+    // An untargeted analysis panic (the serving layer's per-request fault
+    // surface) takes down every family of *that* sweep…
     let opts = DseOptions {
-        inject: Some(testhook::InjectedFault::AnalysisPanic),
+        inject: Some(InjectedFault::AnalysisPanic(None)),
         ..DseOptions::default()
     };
-    let poisoned = explore_with(&f, &platform, &w, opts).expect("sweep survives");
+    let poisoned = sweep(&f, &platform, &w, opts).expect("sweep survives");
     assert!(poisoned.points.is_empty());
     let n = poisoned.diagnostics.skipped_count();
     assert!(n > 0);
     assert_eq!(poisoned.diagnostics.count_of(ErrorKind::Panic), n);
 
-    // …while a concurrent-in-time clean sweep (same process, nothing
-    // armed globally) is untouched — unlike the arm_panic statics, the
-    // per-sweep fault cannot leak.
-    let after = explore_with(&f, &platform, &w, DseOptions::default()).expect("clean rerun");
+    // …while the next clean sweep in the same process is untouched: the
+    // fault lives in that sweep's options, so it cannot leak.
+    let after = sweep(&f, &platform, &w, DseOptions::default()).expect("clean rerun");
     assert!(after.diagnostics.is_clean());
     assert_points_identical(&clean, &after);
 
     // The estimate-path variant hits exactly one candidate.
     let opts = DseOptions {
-        inject: Some(testhook::InjectedFault::EstimatePanic(5)),
+        inject: Some(InjectedFault::EstimatePanic(5)),
         ..DseOptions::default()
     };
-    let one = explore_with(&f, &platform, &w, opts).expect("sweep survives");
+    let one = sweep(&f, &platform, &w, opts).expect("sweep survives");
     assert_eq!(one.diagnostics.skipped_count(), 1);
     assert_eq!(one.diagnostics.failed[0].index, 5);
     assert_eq!(one.diagnostics.failed[0].kind, ErrorKind::Panic);
@@ -280,11 +234,54 @@ fn per_sweep_injected_faults_poison_only_their_own_sweep() {
 
 #[test]
 fn disarmed_testhook_costs_nothing_and_changes_nothing() {
-    let _guard = serialize();
     let (f, w) = vadd();
     let platform = Platform::virtex7_adm7v3();
-    let a = explore_with(&f, &platform, &w, DseOptions::default()).expect("sweep");
+    let a = sweep(&f, &platform, &w, DseOptions::default()).expect("sweep");
     assert!(a.diagnostics.is_clean());
-    let b = explore_with(&f, &platform, &w, DseOptions::default()).expect("sweep");
+    let b = sweep(&f, &platform, &w, DseOptions::default()).expect("sweep");
     assert_points_identical(&a, &b);
+}
+
+#[test]
+fn concurrent_targeted_and_clean_sweeps_stay_isolated() {
+    let (f, w) = vadd();
+    let platform = Platform::virtex7_adm7v3();
+    let reference = sweep(&f, &platform, &w, DseOptions::default()).expect("serial reference");
+    let victim_family = reference.points.iter().filter(|p| p.config.work_group == (64, 1)).count();
+    assert!(victim_family > 0, "the (64,1) family must exist");
+
+    // A sweep poisoned in the 64x1 family and a clean sweep run on two
+    // threads at once, both starting from the same barrier: the fault is
+    // carried by the poisoned sweep's own options, so the clean one
+    // cannot see it.
+    let poisoned_opts = DseOptions {
+        threads: 2,
+        inject: Some(InjectedFault::AnalysisPanic(Some((64, 1)))),
+        ..DseOptions::default()
+    };
+    let clean_opts = DseOptions { threads: 2, ..DseOptions::default() };
+    let start = std::sync::Barrier::new(2);
+    let run = |opts| {
+        start.wait();
+        sweep(&f, &platform, &w, opts).expect("sweep survives")
+    };
+    let (poisoned, clean) = std::thread::scope(|s| {
+        let poisoned = s.spawn(|| run(poisoned_opts));
+        let clean = s.spawn(|| run(clean_opts));
+        (poisoned.join().expect("poisoned thread"), clean.join().expect("clean thread"))
+    });
+
+    assert!(clean.diagnostics.is_clean(), "{}", clean.diagnostics);
+    assert_points_identical(&reference, &clean);
+
+    assert_eq!(poisoned.diagnostics.skipped_count(), victim_family);
+    assert_eq!(poisoned.diagnostics.count_of(ErrorKind::Panic), victim_family);
+    for fp in &poisoned.diagnostics.failed {
+        assert_eq!(fp.config.work_group, (64, 1));
+        assert!(fp.message.contains("injected panic"), "{}", fp.message);
+    }
+    // Every other family of the poisoned sweep matches the reference.
+    let mut survivors = reference.clone();
+    survivors.points.retain(|p| p.config.work_group != (64, 1));
+    assert_points_identical(&survivors, &poisoned);
 }

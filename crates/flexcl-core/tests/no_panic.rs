@@ -79,17 +79,15 @@ fn arb_opts() -> BoxedStrategy<DseOptions> {
         any::<bool>(),
         proptest::sample::select(vec![0u64, 1, 1_000, 10_000_000]),
         proptest::sample::select(vec![0usize, 1, 1 << 20]),
-        any::<bool>(),
         proptest::sample::select(vec![0usize, 1, 7, 4096]),
-        proptest::sample::select(vec![1usize, 2, 64]),
+        proptest::sample::select(vec![0usize, 1, 2, 64]),
     )
         .prop_map(
-            |(threads, prune, step_limit, trace_limit, reuse_analysis, chunk_size, cache_cap)| {
+            |(threads, prune, step_limit, trace_limit, chunk_size, cache_cap)| {
                 DseOptions {
                     threads,
                     prune,
                     fuel: ProfileFuel { step_limit, trace_limit, ..ProfileFuel::default() },
-                    reuse_analysis,
                     chunk_size,
                     analysis_cache_cap: cache_cap,
                     inject: None,

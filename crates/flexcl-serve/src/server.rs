@@ -47,7 +47,7 @@ use crate::cache::{Key, OpenReport, PersistentCache};
 use crate::protocol::{CacheDisposition, Request, RequestFault, Response, SweepSummary};
 use crate::workload;
 use flexcl_core::config::SweepGrid;
-use flexcl_core::dse::testhook::InjectedFault;
+use flexcl_core::dse::InjectedFault;
 use flexcl_core::{AnalysisCache, CancelToken, DseOptions, FlexclError, Platform, ProfileFuel};
 use flexcl_obs::{metrics, trace};
 use std::collections::{HashMap, VecDeque};
@@ -956,12 +956,11 @@ fn serve_job(inner: &Inner, job: &Job) -> Response {
             _ => ProfileFuel::default(),
         },
         inject: match fault {
-            Some(RequestFault::Panic) => Some(InjectedFault::AnalysisPanic),
+            Some(RequestFault::Panic) => Some(InjectedFault::AnalysisPanic(None)),
             Some(RequestFault::EstimatePanic) => Some(InjectedFault::EstimatePanic(0)),
             _ => None,
         },
-        reuse_analysis: inner.cfg.analysis_cache_entries > 0,
-        analysis_cache_cap: inner.cfg.analysis_cache_entries.max(1),
+        analysis_cache_cap: inner.cfg.analysis_cache_entries,
         ..DseOptions::default()
     };
     let cancel = CancelToken::at(job.deadline);

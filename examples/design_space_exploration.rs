@@ -8,7 +8,7 @@
 //! Run with:
 //! `cargo run -p flexcl-bench --example design_space_exploration --release`
 
-use flexcl_core::{FlexCl, Platform, Workload};
+use flexcl_core::{DseOptions, FlexCl, Platform, Workload};
 use flexcl_interp::KernelArg;
 use std::time::Instant;
 
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let flexcl = FlexCl::new(Platform::virtex7_adm7v3());
     let t0 = Instant::now();
-    let result = flexcl.explore_source(src, "jacobi", &workload)?;
+    let result = flexcl.explore_source(src, "jacobi", &workload, DseOptions::default())?;
     let elapsed = t0.elapsed();
 
     let mut ranked: Vec<_> =

@@ -4,6 +4,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 cargo build --release
+# The benchmark package builds against the workspace crates' public API,
+# so an API change that would break it fails here, not in a benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q
 # Robustness gates: the estimation pipeline must stay panic-free on
 # input-dependent paths, and the DSE sweep must survive injected faults

@@ -4,7 +4,7 @@
 
 use flexcl_bench::find_spec;
 use flexcl_core::{
-    estimate, explore, explore_with, DseOptions, KernelAnalysis, OptimizationConfig, Platform,
+    estimate, explore_space, DseOptions, KernelAnalysis, OptimizationConfig, Platform, SweepGrid,
 };
 use flexcl_kernels::Scale;
 use flexcl_sim::{system_run, SimOptions};
@@ -45,8 +45,10 @@ fn parallel_sweep_is_bit_identical_to_serial() {
     let func = flexcl_bench::compile(&spec);
     let workload = spec.workload(Scale::Test, 5);
     let platform = Platform::virtex7_adm7v3();
-    let serial = explore(&func, &platform, &workload).expect("serial sweep");
-    let parallel = explore_with(&func, &platform, &workload, DseOptions::parallel(4))
+    let grid = SweepGrid::standard();
+    let serial =
+        explore_space(&func, &platform, &workload, &grid, DseOptions::default()).expect("serial sweep");
+    let parallel = explore_space(&func, &platform, &workload, &grid, DseOptions::parallel(4))
         .expect("parallel sweep");
     assert_eq!(serial.points.len(), parallel.points.len());
     for (a, b) in serial.points.iter().zip(&parallel.points) {
@@ -67,21 +69,23 @@ fn cached_parallel_pruned_sweep_is_bit_identical_to_uncached_serial() {
     let func = flexcl_bench::compile(&spec);
     let workload = spec.workload(Scale::Test, 5);
     let platform = Platform::virtex7_adm7v3();
-    let uncached = explore_with(
+    let uncached = explore_space(
         &func,
         &platform,
         &workload,
-        DseOptions { reuse_analysis: false, ..DseOptions::default() },
+        &SweepGrid::standard(),
+        DseOptions { analysis_cache_cap: 0, ..DseOptions::default() },
     )
     .expect("serial uncached sweep");
     // Run twice so the second parallel sweep is served from a hot
     // analysis cache in every family.
     for pass in 0..2 {
-        let cached = explore_with(
+        let cached = explore_space(
             &func,
             &platform,
             &workload,
-            DseOptions { threads: 4, reuse_analysis: true, ..DseOptions::default() },
+            &SweepGrid::standard(),
+            DseOptions { threads: 4, ..DseOptions::default() },
         )
         .expect("parallel cached sweep");
         assert_eq!(uncached.points.len(), cached.points.len(), "pass {pass}");
@@ -111,11 +115,13 @@ fn pruned_sweep_matches_exhaustive_best_on_polybench() {
     let func = flexcl_bench::compile(&spec);
     let workload = spec.workload(Scale::Test, 5);
     let platform = Platform::virtex7_adm7v3();
-    let full = explore(&func, &platform, &workload).expect("exhaustive sweep");
-    let pruned = explore_with(
+    let full = explore_space(&func, &platform, &workload, &SweepGrid::standard(), DseOptions::default())
+        .expect("exhaustive sweep");
+    let pruned = explore_space(
         &func,
         &platform,
         &workload,
+        &SweepGrid::standard(),
         DseOptions { prune: true, threads: 2, ..DseOptions::default() },
     )
     .expect("pruned sweep");

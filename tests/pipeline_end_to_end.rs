@@ -110,8 +110,14 @@ fn exploration_is_fast_and_complete() {
         global: (1024, 1),
     };
     let start = std::time::Instant::now();
-    let result = flexcl_core::explore(&func, &Platform::virtex7_adm7v3(), &workload)
-        .expect("explore");
+    let result = flexcl_core::explore_space(
+        &func,
+        &Platform::virtex7_adm7v3(),
+        &workload,
+        &flexcl_core::SweepGrid::standard(),
+        flexcl_core::DseOptions::default(),
+    )
+    .expect("explore");
     assert!(result.points.len() > 100);
     assert!(
         start.elapsed().as_secs() < 30,
